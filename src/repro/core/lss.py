@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -339,10 +339,6 @@ class LearnedStratifiedSampling:
             learning_count=learning.labelled_count,
             training_seconds=learning.training_seconds,
             sampling_overhead_seconds=sampling_overhead_seconds,
-            # Hand the *unordered* scores to a strata-pushdown backend so the
-            # database genuinely re-derives the ordering with ROW_NUMBER —
-            # then the runtime verification below proves it matches argsort.
-            layout_source=(remaining, scores),
         )
 
     def estimate_from_scores(
@@ -415,7 +411,6 @@ class LearnedStratifiedSampling:
         learning_count: int,
         training_seconds: float,
         sampling_overhead_seconds: float,
-        layout_source: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> CountEstimate:
         """Pilot + stage-II stratified estimation over a score-ordered population.
 
@@ -425,14 +420,9 @@ class LearnedStratifiedSampling:
         what makes served sweep estimates reproducible by any serial run
         holding the same cached ordering.
 
-        When the query's backend advertises strata pushdown, the ordering and
-        strata are materialised in-database (from ``layout_source`` — the
-        unordered ``(objects, scores)`` pair — or the ordered arrays when no
-        source is given) and each stage's labels come from **one** aggregate
-        query instead of per-row probes.  All randomness stays on ``rng``
-        exactly as in the client path — the pushdown only relocates label
-        evaluation — so estimates, cut points and oracle-call counts are
-        byte-identical either way.
+        Each stage labels its draws with one oracle batch (pilot, then all
+        of stage II), so on a SQL backend an estimate costs one probe round
+        trip per stage rather than one per stratum.
         """
         # Stage I: pilot sample over the ordered population.  The pilot must
         # keep enough budget in stage II to give every stratum at least one
@@ -463,69 +453,11 @@ class LearnedStratifiedSampling:
         pilot_size = int(np.clip(pilot_size, 2, largest_pilot))
         second_stage_samples = sampling_budget - pilot_size
 
-        pushdown = query.stage_pushdown()
-        layout = None
-        if pushdown is not None and pushdown.supports_strata:
-            source_objects, source_scores = (
-                layout_source
-                if layout_source is not None
-                else (ordered_objects, sorted_scores)
-            )
-            # May decline (non-finite scores, engine too old) → client path.
-            layout = pushdown.strata_layout(source_objects, source_scores, self.num_strata)
-        try:
-            return self._two_stage_estimate(
-                query,
-                ordered_objects,
-                sorted_scores,
-                sampling_budget,
-                rng,
-                evaluations_before=evaluations_before,
-                total_started=total_started,
-                predicate_seconds_before=predicate_seconds_before,
-                learning_positives=learning_positives,
-                learning_count=learning_count,
-                training_seconds=training_seconds,
-                sampling_overhead_seconds=sampling_overhead_seconds,
-                pilot_size=pilot_size,
-                second_stage_samples=second_stage_samples,
-                pushdown=pushdown,
-                layout=layout,
-            )
-        finally:
-            if layout is not None:
-                layout.close()
-
-    def _two_stage_estimate(
-        self,
-        query: CountingQuery,
-        ordered_objects: np.ndarray,
-        sorted_scores: np.ndarray,
-        sampling_budget: int,
-        rng: np.random.Generator,
-        evaluations_before: int,
-        total_started: float,
-        predicate_seconds_before: float,
-        learning_positives: float,
-        learning_count: int,
-        training_seconds: float,
-        sampling_overhead_seconds: float,
-        pilot_size: int,
-        second_stage_samples: int,
-        pushdown,
-        layout,
-    ) -> CountEstimate:
-        """The pilot → design → stage-II pipeline, client-side or pushed down."""
         with obs.stage("lss.pilot"):
             pilot_positions = np.sort(
                 sample_without_replacement(ordered_objects.size, pilot_size, seed=rng)
             )
-            if layout is not None:
-                pilot_labels = pushdown.stage_labels(
-                    layout, pilot_positions, ordered_objects[pilot_positions]
-                )
-            else:
-                pilot_labels = query.evaluate(ordered_objects[pilot_positions])
+            pilot_labels = query.evaluate(ordered_objects[pilot_positions])
             pilot = PilotSample(pilot_positions, pilot_labels, ordered_objects.size)
 
         # Sample design: stratification + allocation.
@@ -571,83 +503,37 @@ class LearnedStratifiedSampling:
         # labels already shaped the stratum boundaries, so reusing them
         # inside the strata they delimit would bias the estimate (most
         # visibly by making "all-negative" strata look exactly empty).
-        stratum_labels: list[np.ndarray] = []
-        slices = design.stratum_slices()
         with obs.stage("lss.stage2"):
             overhead_started = time.perf_counter()
-            stage2_overhead = 0.0
-            if layout is not None:
-                # Pushed-down stage II: re-cut the in-database strata to the
-                # designed layout, run *all* seeded draws first — label
-                # evaluation consumes no randomness, so the rng stream is
-                # byte-identical to the client loop's draw/evaluate
-                # interleaving — then fetch every stratum's fresh labels
-                # with one aggregate stage query and split them back.
-                layout.assign_strata(slices)
-                per_stratum: list[np.ndarray | None] = []
-                position_parts: list[np.ndarray] = []
-                strata_parts: list[np.ndarray] = []
-                for stratum, ((start, end), allotted) in enumerate(
-                    zip(slices, allocation.counts)
-                ):
-                    in_stratum_mask = (pilot_positions >= start) & (pilot_positions < end)
-                    available = np.setdiff1d(
-                        np.arange(start, end),
-                        pilot_positions[in_stratum_mask],
-                        assume_unique=True,
-                    )
-                    take = int(min(allotted, available.size))
-                    if take > 0:
-                        chosen_positions = sample_without_replacement(
-                            available, take, seed=rng
-                        )
-                        position_parts.append(chosen_positions)
-                        strata_parts.append(np.full(take, stratum, dtype=np.int64))
-                        per_stratum.append(None)
-                    else:
-                        # Degenerate budget: no fresh samples fit in this
-                        # stratum, so fall back to its pilot labels rather
-                        # than treating it as unobserved.
-                        per_stratum.append(pilot_labels[in_stratum_mask])
-                if position_parts:
-                    positions = np.concatenate(position_parts)
-                    stage2_overhead += time.perf_counter() - overhead_started
-                    labels = pushdown.stage_labels(
-                        layout,
-                        positions,
-                        ordered_objects[positions],
-                        expected_strata=np.concatenate(strata_parts),
-                    )
-                    overhead_started = time.perf_counter()
-                    bounds = np.cumsum([part.size for part in position_parts])[:-1]
-                    segments = iter(np.split(labels, bounds))
-                    stratum_labels = [
-                        next(segments) if entry is None else entry
-                        for entry in per_stratum
-                    ]
+            # Draw every stratum's positions first, then label all of them
+            # with one oracle batch.  Label evaluation consumes no
+            # randomness, so the rng stream is exactly that of drawing and
+            # labelling stratum by stratum.
+            drawn: list[np.ndarray] = []
+            pilot_fallbacks: list[np.ndarray | None] = []
+            for (start, end), allotted in zip(design.stratum_slices(), allocation.counts):
+                in_stratum_mask = (pilot_positions >= start) & (pilot_positions < end)
+                available = np.setdiff1d(
+                    np.arange(start, end), pilot_positions[in_stratum_mask], assume_unique=True
+                )
+                take = int(min(allotted, available.size))
+                if take > 0:
+                    drawn.append(sample_without_replacement(available, take, seed=rng))
+                    pilot_fallbacks.append(None)
                 else:
-                    stratum_labels = [entry for entry in per_stratum if entry is not None]
-            else:
-                for (start, end), allotted in zip(slices, allocation.counts):
-                    in_stratum_mask = (pilot_positions >= start) & (pilot_positions < end)
-                    pilot_in_stratum = pilot_labels[in_stratum_mask]
-                    pilot_positions_in_stratum = pilot_positions[in_stratum_mask]
-                    available = np.setdiff1d(
-                        np.arange(start, end), pilot_positions_in_stratum, assume_unique=True
-                    )
-                    take = int(min(allotted, available.size))
-                    if take > 0:
-                        chosen_positions = sample_without_replacement(available, take, seed=rng)
-                        stage2_overhead += time.perf_counter() - overhead_started
-                        extra_labels = query.evaluate(ordered_objects[chosen_positions])
-                        overhead_started = time.perf_counter()
-                        stratum_labels.append(extra_labels)
-                    else:
-                        # Degenerate budget: no fresh samples fit in this stratum, so
-                        # fall back to its pilot labels rather than treating it as
-                        # unobserved.
-                        stratum_labels.append(pilot_in_stratum)
-            stage2_overhead += time.perf_counter() - overhead_started
+                    # Degenerate budget: no fresh samples fit in this stratum, so
+                    # fall back to its pilot labels rather than treating it as
+                    # unobserved.
+                    pilot_fallbacks.append(pilot_labels[in_stratum_mask])
+            stage2_overhead = time.perf_counter() - overhead_started
+            fresh: Iterator[np.ndarray] = iter(())
+            if drawn:
+                labels = query.evaluate(ordered_objects[np.concatenate(drawn)])
+                bounds = np.cumsum([positions.size for positions in drawn])[:-1]
+                fresh = iter(np.split(labels, bounds))
+            stratum_labels = [
+                next(fresh) if fallback is None else fallback for fallback in pilot_fallbacks
+            ]
 
             estimate = stratified.estimate_from_samples(
                 partition,

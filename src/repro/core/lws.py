@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-
 from repro.core.estimate import CountEstimate
 from repro.core.learning_phase import run_learning_phase
 from repro.learning.base import Classifier
@@ -118,9 +117,6 @@ class LearnedWeightedSampling:
 
         sampler = WeightedSampling(floor=self.score_floor, confidence=self.confidence)
         with obs.stage("lws.sampling"):
-            # A sampling-pushdown backend runs the whole stage as one
-            # aggregate query; ``None`` keeps the client-side oracle path.
-            # Either way the estimate is byte-identical.
             estimate = sampler.estimate(
                 remaining,
                 scores,
@@ -128,7 +124,6 @@ class LearnedWeightedSampling:
                 sample_size=min(sampling_budget, remaining.size),
                 seed=rng,
                 method=self.method_name,
-                pushdown=query.stage_pushdown(),
             )
 
         details = dict(estimate.details)
@@ -198,7 +193,6 @@ class LearnedWeightedSampling:
                 sample_size=min(int(budget), remaining.size),
                 seed=rng,
                 method=self.method_name,
-                pushdown=query.stage_pushdown(),
             )
 
         details = dict(estimate.details)

@@ -33,16 +33,13 @@ from repro.parallel.methods import METHODS
 from repro.workloads.queries import WorkloadSpec
 from repro.workloads.runner import TrialRunner
 
-#: Backends audited by default: the in-memory reference, the SQL engine at
-#: every pushdown level (``sqlite`` is the ``counts`` default; ``off`` stores
-#: only, ``full`` answers whole estimator stages with one aggregate query
-#: each), and the out-of-core streaming backend at a degenerate, an
-#: adversarially odd and a production block size.
+#: Backends audited by default: the in-memory reference, the SQL engine
+#: (predicates answered as correlated COUNT subqueries), and the out-of-core
+#: streaming backend at a degenerate, an adversarially odd and a production
+#: block size.
 DEFAULT_BACKENDS = (
     "numpy",
     "sqlite",
-    "sqlite:pushdown=off",
-    "sqlite:pushdown=full",
     "chunked:1",
     "chunked:7",
     "chunked:4096",

@@ -38,7 +38,6 @@ from repro.obs.metrics import (
     REQUESTS_SHED,
     RETRY_BACKOFF_SECONDS,
     SQL_ROUNDTRIPS,
-    SQL_STAGE_QUERIES,
     STAGE_SECONDS,
     TRIAL_SECONDS,
     TRIALS_TOTAL,
@@ -77,7 +76,6 @@ __all__ = [
     "REQUEST_DEADLINES",
     "RETRY_BACKOFF_SECONDS",
     "SQL_ROUNDTRIPS",
-    "SQL_STAGE_QUERIES",
     "STAGE_SECONDS",
     "Span",
     "TRIALS_TOTAL",
@@ -91,7 +89,6 @@ __all__ = [
     "recent_traces",
     "record_oracle_calls",
     "record_rows_scanned",
-    "record_stage_query",
     "registry",
     "reset",
     "set_enabled",
@@ -130,15 +127,3 @@ def record_rows_scanned(rows: int, backend: str) -> None:
     """Backend-level scan accounting (rows touched to answer predicates)."""
     registry().inc(BACKEND_ROWS_SCANNED, float(rows), backend=backend)
 
-
-def record_stage_query(backend: str) -> None:
-    """One pushed-down estimator stage answered by one aggregate SQL query.
-
-    Attributed to the active stage span (``lws.sampling``, ``lss.pilot``,
-    ``lss.stage2``) so the parity/pushdown tests can assert the hard claim
-    of pushdown v2: under ``pushdown=full``, each estimator stage costs
-    exactly one SQL round trip instead of per-row probe batches.
-    """
-    registry().inc(
-        SQL_STAGE_QUERIES, backend=backend, stage=current_span_name() or "unattributed"
-    )

@@ -43,7 +43,6 @@ ORACLE_CALLS = "repro_oracle_calls_total"
 PREDICATE_BATCH_ROWS = "repro_predicate_batch_rows"
 BACKEND_ROWS_SCANNED = "repro_backend_rows_scanned_total"
 SQL_ROUNDTRIPS = "repro_sql_roundtrips_total"
-SQL_STAGE_QUERIES = "repro_sql_stage_queries_total"
 STAGE_SECONDS = "repro_stage_seconds"
 TRIALS_TOTAL = "repro_trials_total"
 TRIAL_SECONDS = "repro_trial_seconds"
@@ -188,8 +187,7 @@ class MetricsRegistry:
 
         With no ``labels`` this sums every label set of the counter; with
         keywords it sums only the sets carrying those exact (key, value)
-        pairs — e.g. ``counter_total(SQL_STAGE_QUERIES, backend="sqlite")``
-        across whatever stage labels were recorded.
+        pairs — e.g. ``counter_total(ORACLE_CALLS, stage="lss.pilot")``.
         """
         wanted = set(_label_key(labels))
         with self._lock:

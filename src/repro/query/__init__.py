@@ -16,8 +16,8 @@ new ones — in that form:
   counting query runs over in-memory numpy kernels, a real sqlite3 engine
   (predicates pushed down as SQL), or chunk-streamed out-of-core blocks,
   with byte-identical results.
-* :mod:`repro.query.sql` — sqlite3 materialisation plus the demonstration
-  queries for the Q1/Q2/Q3 rewriting of Section 2.
+* :mod:`repro.query.sql` — sqlite3 materialisation and identifier quoting
+  for the SQL backend.
 """
 
 from repro.query.backends import (

@@ -31,30 +31,20 @@ stores IEEE-754 doubles, the distance test ``(dx*dx + dy*dy) <= d**2`` rounds
 each step exactly like the numpy kernels, and the skyband test is pure
 comparisons.
 
-**Capabilities.**  Not every backend can do more than evaluate labels, and
-the estimators must not guess.  Every backend answers
-:meth:`QueryBackend.capabilities` with the tuple of capability tokens it
-implements; backends that can move whole estimator stages into the engine
-additionally satisfy the :class:`StrataPushdown` / :class:`SamplingPushdown`
-protocols.  :class:`SqliteBackend` advertises up to four capabilities
-depending on its ``pushdown`` level (``off`` / ``counts`` / ``full``):
+**Capabilities.**  Every backend answers :meth:`QueryBackend.capabilities`
+with the tuple of capability tokens it implements:
 
 * ``evaluate`` — labels on demand (every backend);
 * ``predicate-pushdown`` — per-object labels computed by correlated COUNT
-  subqueries inside the engine (``counts``, the default, and ``full``);
-* ``strata-pushdown`` — score orderings and stratum layouts materialised
-  in-database with ``ROW_NUMBER``/``NTILE`` window functions, each LSS
-  stage answered by **one** aggregate query (``full`` only);
-* ``sampling-pushdown`` — the seeded PPS draw order stored as a permutation
-  column so the whole LWS sampling stage is one aggregate query (``full``
-  only).
+  subqueries inside the engine (:class:`SqliteBackend` over a built-in
+  predicate).
 
-Randomness never moves: seeds are drawn client-side and only *label
-evaluation* is pushed down, which is what keeps every estimate byte-identical
-across pushdown levels.
+Only the predicate moves into the engine; the estimators' randomness and
+sampling stay on the client, which is what keeps every estimate
+byte-identical across backends.
 
 Backends are named by a spec string — ``"numpy"``, ``"sqlite"``,
-``"sqlite:database=/path,pushdown=full"``, ``"chunked"`` or
+``"sqlite:database=/path"``, ``"chunked"`` or
 ``"chunked:<rows>"`` — so the choice travels through pickle-safe descriptions
 (:class:`~repro.workloads.queries.WorkloadSpec`,
 :class:`~repro.parallel.methods.MethodSpec`) and is part of the deterministic
@@ -65,22 +55,15 @@ from __future__ import annotations
 
 import sqlite3
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.query.predicates import NeighborCountPredicate, Predicate, SkybandPredicate
-from repro.query.sql import (
-    WINDOW_FUNCTIONS_AVAILABLE,
-    PermutationLayout,
-    ScoreLayout,
-    quote_identifier,
-    table_to_sqlite,
-)
+from repro.query.sql import quote_identifier, table_to_sqlite
 from repro.query.table import Table
 from repro.resilience.faults import active_plan
 from repro.resilience.retry import backoff_delays
@@ -93,19 +76,10 @@ BACKEND_NAMES = ("numpy", "sqlite", "chunked")
 #: Capability tokens a backend may advertise via ``capabilities()``.
 CAP_EVALUATE = "evaluate"
 CAP_PREDICATE_PUSHDOWN = "predicate-pushdown"
-CAP_STRATA_PUSHDOWN = "strata-pushdown"
-CAP_SAMPLING_PUSHDOWN = "sampling-pushdown"
-
-#: Pushdown levels of :class:`SqliteBackend`, least to most aggressive.
-PUSHDOWN_LEVELS = ("off", "counts", "full")
-
-#: ``counts`` (PR 5's correlated COUNT probes) stays the default, so the
-#: bare ``"sqlite"`` spec keeps its historical meaning.
-DEFAULT_PUSHDOWN = "counts"
 
 #: Option vocabulary of the ``sqlite`` spec and the default each key
-#: canonicalises away (``sqlite:pushdown=counts`` re-renders as ``sqlite``).
-SQLITE_OPTION_DEFAULTS = {"database": ":memory:", "pushdown": DEFAULT_PUSHDOWN}
+#: canonicalises away (``sqlite:database=:memory:`` re-renders as ``sqlite``).
+SQLITE_OPTION_DEFAULTS = {"database": ":memory:"}
 
 #: Default row-block size of :class:`ChunkedBackend`.
 DEFAULT_CHUNK_ROWS = 4096
@@ -169,12 +143,10 @@ class QueryBackend(ABC):
     def capabilities(self) -> tuple[str, ...]:
         """Capability tokens this backend implements.
 
-        Every backend can :data:`CAP_EVALUATE`; backends that can execute
-        estimator stages in the engine add the pushdown tokens and satisfy
-        the matching protocol (:class:`StrataPushdown`,
-        :class:`SamplingPushdown`).  Estimators branch on this — never on
-        the concrete class — and fall back to the client-side kernels when
-        a capability is absent.
+        Every backend can :data:`CAP_EVALUATE`; a backend that computes
+        labels inside its engine adds :data:`CAP_PREDICATE_PUSHDOWN`.  The
+        tokens are reported (``repr``, the parity CLI, ``GET /stats``);
+        they never change a label.
         """
         return (CAP_EVALUATE,)
 
@@ -194,53 +166,6 @@ class QueryBackend(ABC):
             f"{type(self).__name__}(spec={self.spec!r}, "
             f"objects={self.num_objects}, capabilities={rendered})"
         )
-
-
-@runtime_checkable
-class StrataPushdown(Protocol):
-    """Optional capability: score orderings and strata live in the engine.
-
-    A backend advertising :data:`CAP_STRATA_PUSHDOWN` materialises a
-    :class:`~repro.query.sql.ScoreLayout` from ``(object, score)`` pairs —
-    re-deriving the stable score ordering and fixed-height strata with
-    window functions — and answers each estimator stage over it with one
-    aggregate query.  ``materialize_layout`` returns ``None`` whenever the
-    backend cannot honour the request (non-finite scores, no SQL plan for
-    the predicate, engine too old), and the caller falls back client-side.
-    """
-
-    def capabilities(self) -> tuple[str, ...]: ...
-
-    def materialize_layout(
-        self, objects: np.ndarray, scores: np.ndarray, num_strata: int
-    ) -> "ScoreLayout | None": ...
-
-    def evaluate_layout(
-        self, layout: "ScoreLayout", positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-
-
-@runtime_checkable
-class SamplingPushdown(Protocol):
-    """Optional capability: seeded draw orders live in the engine.
-
-    A backend advertising :data:`CAP_SAMPLING_PUSHDOWN` stores a
-    client-seeded draw permutation as a
-    :class:`~repro.query.sql.PermutationLayout` column and labels any prefix
-    of the draw sequence with one aggregate query.  Same fallback contract
-    as :class:`StrataPushdown`: ``materialize_permutation`` may return
-    ``None`` and the caller must cope.
-    """
-
-    def capabilities(self) -> tuple[str, ...]: ...
-
-    def materialize_permutation(
-        self, objects: np.ndarray, order: np.ndarray
-    ) -> "PermutationLayout | None": ...
-
-    def evaluate_permutation(
-        self, layout: "PermutationLayout", size: int
-    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class NumpyBackend(QueryBackend):
@@ -403,39 +328,23 @@ def _skyband_plan(predicate: SkybandPredicate, name: str) -> _PushdownPlan:
 
 
 class SqliteBackend(QueryBackend):
-    """Execute Q3 inside sqlite3, at a configurable pushdown level.
+    """Execute Q3 inside sqlite3.
 
-    The object table is materialised into an in-memory sqlite database.
-    What else moves into the engine depends on ``pushdown``:
-
-    * ``"off"`` — the database only stores the table; labels come from the
-      client-side vectorized kernels (the reference semantics, handy for
-      differential debugging of the levels below).
-    * ``"counts"`` (default) — the two built-in predicates are pushed down
-      as correlated COUNT subqueries — batched per-object probes and a
-      single bulk pass for ground truth — with an index on the neighbour
-      predicate's x column so the correlated scan uses a range probe
-      instead of a full scan per object.
-    * ``"full"`` — everything ``counts`` does, plus estimator-stage
-      pushdown: strata layouts are materialised in-database with
-      ``ROW_NUMBER``/``NTILE`` window functions and seeded draw orders as
-      permutation columns, so every LWS/LSS stage is answered by **one**
-      aggregate query (see :class:`StrataPushdown` /
-      :class:`SamplingPushdown`, and
-      :meth:`~repro.query.counting.CountingQuery.stage_pushdown` for the
-      consuming side).
+    The object table is materialised into sqlite (in memory unless
+    ``database`` names a file) and the two built-in predicates are pushed
+    down as correlated COUNT subqueries — batched per-object probes and a
+    single bulk pass for ground truth — with an index on the neighbour
+    predicate's x column so the correlated scan uses a range probe instead
+    of a full scan per object.
 
     Predicates without a SQL translation (user-defined
     :class:`~repro.query.predicates.CallablePredicate`) fall back to the
-    in-memory kernels at every level; the backend still owns enumeration and
-    feature gathering, and label parity is trivially preserved.  Labels,
-    cut points, oracle-call counts and seeded estimates are byte-identical
-    across all three levels — the parity CLI/CI gate runs the full grid.
+    in-memory kernels; the backend still owns enumeration and feature
+    gathering, and label parity is trivially preserved.
 
-    Build instances through ``make_backend("sqlite:database=...,pushdown=...")``;
-    the spec string is the canonical surface (it travels through workload
-    fingerprints).  Passing ``table_name=``/``database=``/``pushdown=``
-    directly to the constructor still works but is deprecated.
+    :func:`make_backend` builds instances from ``"sqlite"`` or
+    ``"sqlite:database=<path>"``; the spec string is the canonical surface
+    (it travels through workload fingerprints).
     """
 
     spec = "sqlite"
@@ -446,69 +355,20 @@ class SqliteBackend(QueryBackend):
     LOCK_RETRY_LIMIT = 3
 
     def __init__(
-        self,
-        table: Table,
-        predicate: Predicate,
-        table_name: str | None = None,
-        database: str = ":memory:",
-        pushdown: str = DEFAULT_PUSHDOWN,
-    ) -> None:
-        if table_name is not None or database != ":memory:" or pushdown != DEFAULT_PUSHDOWN:
-            warnings.warn(
-                "passing table_name=/database=/pushdown= to SqliteBackend() is "
-                "deprecated; build backends from a spec string instead, e.g. "
-                "make_backend('sqlite:database=/path,pushdown=full', table, predicate)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._setup(table, predicate, table_name=table_name, database=database, pushdown=pushdown)
-
-    @classmethod
-    def _from_spec(
-        cls,
-        table: Table,
-        predicate: Predicate,
-        *,
-        database: str = ":memory:",
-        pushdown: str = DEFAULT_PUSHDOWN,
-    ) -> "SqliteBackend":
-        """Constructor used by :func:`make_backend` (no deprecation warning)."""
-        self = cls.__new__(cls)
-        self._setup(table, predicate, table_name=None, database=database, pushdown=pushdown)
-        return self
-
-    def _setup(
-        self,
-        table: Table,
-        predicate: Predicate,
-        *,
-        table_name: str | None,
-        database: str,
-        pushdown: str,
+        self, table: Table, predicate: Predicate, database: str = ":memory:"
     ) -> None:
         super().__init__(table, predicate)
-        if pushdown not in PUSHDOWN_LEVELS:
-            raise ValueError(
-                f"unknown pushdown level {pushdown!r}; choose from {PUSHDOWN_LEVELS}"
-            )
-        self.pushdown = pushdown
-        options = [
-            (key, value)
-            for key, value in (("database", database), ("pushdown", pushdown))
-            if SQLITE_OPTION_DEFAULTS[key] != value
-        ]
-        if options:
-            rendered = ",".join(f"{key}={value}" for key, value in options)
-            self.spec = f"sqlite:{rendered}"
-        self.table_name = table_name or table.name or "objects"
+        if database != SQLITE_OPTION_DEFAULTS["database"]:
+            self.spec = f"sqlite:database={database}"
+        table_name = table.name or "objects"
         # ``check_same_thread=False``: the estimate server evaluates requests
         # on executor threads while a per-workload lock serialises access to
         # any one backend; combined with the WAL/busy_timeout pragmas from
         # ``table_to_sqlite`` this makes concurrent service reads safe.
         self.connection: sqlite3.Connection | None = table_to_sqlite(
-            table, table_name=self.table_name, check_same_thread=False, database=database
+            table, table_name=table_name, check_same_thread=False, database=database
         )
-        quoted = quote_identifier(self.table_name)
+        quoted = quote_identifier(table_name)
         if isinstance(predicate, NeighborCountPredicate):
             self._plan: _PushdownPlan | None = _neighbor_plan(table, predicate, quoted)
         elif isinstance(predicate, SkybandPredicate):
@@ -517,7 +377,7 @@ class SqliteBackend(QueryBackend):
             self._plan = None
         if self._plan is not None and self._plan.index_column is not None:
             self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {quote_identifier('ix_' + self.table_name)} "
+                f"CREATE INDEX IF NOT EXISTS {quote_identifier('ix_' + table_name)} "
                 f"ON {quoted} ({quote_identifier(self._plan.index_column)})"
             )
         self._quoted_name = quoted
@@ -563,83 +423,15 @@ class SqliteBackend(QueryBackend):
                 attempt += 1
 
     def capabilities(self) -> tuple[str, ...]:
-        tokens = [CAP_EVALUATE]
-        if self._plan is not None and self.pushdown != "off":
-            tokens.append(CAP_PREDICATE_PUSHDOWN)
-            if self.pushdown == "full" and WINDOW_FUNCTIONS_AVAILABLE:
-                tokens.append(CAP_STRATA_PUSHDOWN)
-                tokens.append(CAP_SAMPLING_PUSHDOWN)
-        return tuple(tokens)
-
-    # -- estimator-stage pushdown (the ``full`` level) -------------------------
-    def materialize_layout(
-        self, objects: np.ndarray, scores: np.ndarray, num_strata: int
-    ) -> ScoreLayout | None:
-        """Build an in-database strata layout, or ``None`` to decline.
-
-        Declines (→ the caller runs client-side) when the backend does not
-        advertise :data:`CAP_STRATA_PUSHDOWN` or when any score is
-        non-finite: Python's sqlite3 binds NaN as NULL, which would silently
-        corrupt the ordering instead of reproducing numpy's NaN-sorts-last.
-        """
-        if CAP_STRATA_PUSHDOWN not in self.capabilities():
-            return None
-        scores = np.asarray(scores, dtype=np.float64)
-        if not np.all(np.isfinite(scores)):
-            return None
-        return ScoreLayout(
-            self._require_connection(),
-            self._query_rows,
-            self._quoted_name,
-            np.asarray(objects, dtype=np.int64),
-            scores,
-            int(num_strata),
-        )
-
-    def evaluate_layout(
-        self, layout: ScoreLayout, positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One estimator stage over a layout: one aggregate query."""
-        assert self._plan is not None  # layouts only exist with a SQL plan
-        positions = np.asarray(positions, dtype=np.int64)
-        self._record_scan(positions.size)
-        if obs.enabled():
-            obs.record_stage_query(backend=self.spec)
-        return layout.evaluate_positions(
-            positions, self._plan.label_expression, self._plan.parameters
-        )
-
-    def materialize_permutation(
-        self, objects: np.ndarray, order: np.ndarray
-    ) -> PermutationLayout | None:
-        """Store a client-seeded draw permutation, or ``None`` to decline."""
-        if CAP_SAMPLING_PUSHDOWN not in self.capabilities():
-            return None
-        return PermutationLayout(
-            self._require_connection(),
-            self._query_rows,
-            self._quoted_name,
-            np.asarray(objects, dtype=np.int64),
-            np.asarray(order, dtype=np.int64),
-        )
-
-    def evaluate_permutation(
-        self, layout: PermutationLayout, size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Label the first ``size`` seeded draws: one aggregate query."""
-        assert self._plan is not None
-        self._record_scan(int(size))
-        if obs.enabled():
-            obs.record_stage_query(backend=self.spec)
-        return layout.evaluate_prefix(
-            int(size), self._plan.label_expression, self._plan.parameters
-        )
+        if self._plan is None:
+            return (CAP_EVALUATE,)
+        return (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
 
     def evaluate(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
-        if self._plan is None or self.pushdown == "off":
-            # No SQL translation (or pushdown disabled): the reference
-            # kernels produce the labels; the database is storage only.
+        if self._plan is None:
+            # No SQL translation: the reference kernels produce the labels;
+            # the database is storage only.
             self._record_scan(indices.size)
             return np.asarray(
                 self.predicate.evaluate_batch(self.table, indices), dtype=np.float64
@@ -676,7 +468,7 @@ class SqliteBackend(QueryBackend):
         return np.array([labels_by_index[int(i)] for i in indices], dtype=np.float64)
 
     def evaluate_all(self) -> np.ndarray:
-        if self._plan is None or self.pushdown == "off":
+        if self._plan is None:
             self._record_scan(self.num_objects)
             return np.asarray(self.predicate.evaluate_all(self.table), dtype=np.float64)
         self._require_connection()
@@ -705,9 +497,9 @@ def _parse_backend_spec(spec: str):
         option_names=("sqlite",),
     )
     if parsed.options:
-        parsed = parsed.validate_options(
-            {"database": None, "pushdown": PUSHDOWN_LEVELS}
-        ).without_default_options(SQLITE_OPTION_DEFAULTS)
+        parsed = parsed.validate_options({"database": None}).without_default_options(
+            SQLITE_OPTION_DEFAULTS
+        )
     return parsed
 
 
@@ -718,7 +510,7 @@ def canonical_backend_spec(spec: "str | QueryBackend | None") -> str:
     own canonical spec; a string is validated and normalised —
     ``"chunked"`` → ``"chunked:<default>"``, sqlite options are key-sorted
     and options spelling a default are dropped
-    (``"sqlite:pushdown=counts"`` → ``"sqlite"``) — so equal configurations
+    (``"sqlite:database=:memory:"`` → ``"sqlite"``) — so equal configurations
     share one spelling in task fingerprints and cache keys.
     """
     if spec is None:
@@ -754,11 +546,8 @@ def make_backend(
         return NumpyBackend(table, predicate)
     parsed = _parse_backend_spec(canonical)
     if parsed.name == "sqlite":
-        return SqliteBackend._from_spec(
-            table,
-            predicate,
-            database=parsed.option("database", ":memory:"),
-            pushdown=parsed.option("pushdown", DEFAULT_PUSHDOWN),
+        return SqliteBackend(
+            table, predicate, database=parsed.option("database", ":memory:")
         )
     chunk_rows = int(canonical.split(":", 1)[1])
     return ChunkedBackend(table, predicate, chunk_rows=chunk_rows)

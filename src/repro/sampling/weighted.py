@@ -43,30 +43,6 @@ def normalise_size_measures(size_measures: np.ndarray, floor: float = 1e-3) -> n
     return floored / floored.sum()
 
 
-def pps_permutation(
-    probabilities: np.ndarray,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """The full seeded PPS draw order over all candidates.
-
-    One vectorised exponential-races pass (Efraimidis–Spirakis): sorting
-    ``Exp(p_i)`` draws ascending reproduces sequential PPS sampling without
-    replacement, so element ``k`` of the returned permutation is the ``k``-th
-    draw.  The RNG consumption is one ``exponential(size=n)`` call regardless
-    of how much of the permutation is later used — which is what lets a
-    sampling-pushdown backend store the whole permutation as a column and
-    answer any prefix, byte-identical to drawing client-side.
-    """
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    if probabilities.ndim != 1:
-        raise ValueError("probabilities must be a 1-d array")
-    if np.any(probabilities <= 0):
-        raise ValueError("all probabilities must be strictly positive")
-    rng = resolve_rng(seed)
-    keys = rng.exponential(scale=1.0, size=probabilities.size) / probabilities
-    return np.argsort(keys, kind="stable")
-
-
 def pps_sample_without_replacement(
     probabilities: np.ndarray,
     size: int,
@@ -77,16 +53,27 @@ def pps_sample_without_replacement(
     Draws are sequential: at each step the next index is chosen among the
     remaining ones with probability proportional to its initial measure,
     which is exactly the sampling design the Des Raj estimator assumes.
-    The sample is the first ``size`` elements of :func:`pps_permutation`.
+
+    Uses the exponential-races trick (Efraimidis–Spirakis) so that the whole
+    ordered sample is produced with a single vectorised pass.
     """
     probabilities = np.asarray(probabilities, dtype=np.float64)
+    if probabilities.ndim != 1:
+        raise ValueError("probabilities must be a 1-d array")
     if size < 0:
         raise ValueError("sample size must be non-negative")
     if size > probabilities.size:
         raise ValueError(
             f"cannot draw {size} distinct objects from {probabilities.size} candidates"
         )
-    return pps_permutation(probabilities, seed=seed)[:size]
+    if np.any(probabilities <= 0):
+        raise ValueError("all probabilities must be strictly positive")
+    rng = resolve_rng(seed)
+    # Exponential races: sorting Exp(p_i) draws ascending reproduces
+    # sequential PPS sampling without replacement.
+    keys = rng.exponential(scale=1.0, size=probabilities.size) / probabilities
+    order = np.argsort(keys, kind="stable")
+    return order[:size]
 
 
 @dataclass
@@ -177,7 +164,6 @@ class WeightedSampling:
         sample_size: int,
         seed: SeedLike = None,
         method: str | None = None,
-        pushdown=None,
     ) -> CountEstimate:
         """Estimate the count of positives among ``objects``.
 
@@ -188,13 +174,6 @@ class WeightedSampling:
             oracle: expensive predicate, evaluated once per drawn object.
             sample_size: number of predicate evaluations to spend.
             seed: RNG seed or generator.
-            pushdown: optional
-                :class:`~repro.query.counting.StagePushdown`; when it
-                accepts, the seeded permutation is materialised in the
-                backend and the whole sampling stage is one aggregate query.
-                Labels, accounting and the estimate are byte-identical to
-                the client-side path (the seed fixes the permutation before
-                any pushdown decision is made).
         """
         objects = as_index_array(objects)
         if objects.size == 0:
@@ -207,15 +186,10 @@ class WeightedSampling:
             raise ValueError("sample_size must be positive")
 
         probabilities = normalise_size_measures(size_measures, floor=self.floor)
-        order = pps_permutation(probabilities, seed=seed)
-        positions = order[:sample_size]
+        positions = pps_sample_without_replacement(probabilities, sample_size, seed=seed)
         drawn_objects = objects[positions]
         drawn_probabilities = probabilities[positions]
-        labels = None
-        if pushdown is not None:
-            labels = pushdown.pps_labels(objects, order, sample_size)
-        if labels is None:
-            labels = evaluate_labels(oracle, drawn_objects)
+        labels = evaluate_labels(oracle, drawn_objects)
 
         estimator = DesRajEstimator(population_size=objects.size)
         result = estimator.estimate(labels, drawn_probabilities)

@@ -24,13 +24,9 @@ from repro.parallel.methods import METHODS, MethodSpec
 from repro.query.backends import (
     CAP_EVALUATE,
     CAP_PREDICATE_PUSHDOWN,
-    CAP_SAMPLING_PUSHDOWN,
-    CAP_STRATA_PUSHDOWN,
     ChunkedBackend,
     NumpyBackend,
-    SamplingPushdown,
     SqliteBackend,
-    StrataPushdown,
     canonical_backend_spec,
     make_backend,
 )
@@ -40,27 +36,21 @@ from repro.query.predicates import (
     NeighborCountPredicate,
     SkybandPredicate,
 )
-from repro.query.sql import WINDOW_FUNCTIONS_AVAILABLE, _ntile_sizes
 from repro.query.table import Table
-from repro.workloads.queries import WorkloadSpec
+from repro.workloads.queries import WorkloadSpec, build_workload
 from repro.workloads.runner import TrialRunner
 
 ALL_BACKEND_SPECS = (
     "numpy",
     "sqlite",
-    "sqlite:pushdown=off",
-    "sqlite:pushdown=full",
     "chunked:1",
     "chunked:7",
     "chunked:4096",
 )
 
-#: The SqliteBackend pushdown grid the estimator-level tests sweep.
-PUSHDOWN_SPECS = ("sqlite:pushdown=off", "sqlite", "sqlite:pushdown=full")
-
-needs_window_functions = pytest.mark.skipif(
-    not WINDOW_FUNCTIONS_AVAILABLE, reason="sqlite without window functions"
-)
+#: The backends the estimator-level tests sweep: the kernel reference, the
+#: SQL engine (predicate pushdown) and the streaming backend.
+ESTIMATOR_SPECS = ("numpy", "sqlite", "chunked:7")
 
 SETTINGS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -364,23 +354,17 @@ class TestWorkloadAndMethodSpecs:
 # -- sqlite spec options grammar ----------------------------------------------
 class TestSqliteSpecOptions:
     def test_default_options_canonicalise_away(self):
-        assert canonical_backend_spec("sqlite:pushdown=counts") == "sqlite"
         assert canonical_backend_spec("sqlite:database=:memory:") == "sqlite"
-        assert (
-            canonical_backend_spec("sqlite:pushdown=full,database=:memory:")
-            == "sqlite:pushdown=full"
-        )
 
     def test_non_default_options_render_sorted(self):
         assert (
-            canonical_backend_spec("sqlite:pushdown=off,database=/tmp/x.db")
-            == "sqlite:database=/tmp/x.db,pushdown=off"
+            canonical_backend_spec("sqlite:database=/tmp/x.db")
+            == "sqlite:database=/tmp/x.db"
         )
 
     @pytest.mark.parametrize(
         ("bad", "fragment"),
         [
-            ("sqlite:pushdown=max", "invalid backend option"),
             ("sqlite:foo=1", "unknown backend option"),
             ("chunked:rows=8", "takes no options"),
             ("sqlite:1", "takes no argument"),
@@ -390,49 +374,38 @@ class TestSqliteSpecOptions:
         with pytest.raises(ValueError, match=fragment):
             canonical_backend_spec(bad)
 
-    def test_make_backend_routes_options(self, small_points_table):
+    def test_make_backend_routes_options(self, small_points_table, tmp_path):
         predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
+        spec = f"sqlite:database={tmp_path / 'points.db'}"
+        backend = make_backend(spec, small_points_table, predicate)
         assert isinstance(backend, SqliteBackend)
-        assert backend.pushdown == "full"
-        assert backend.spec == "sqlite:pushdown=full"
+        assert backend.spec == spec
+        indices = np.arange(small_points_table.num_rows)
+        reference = NumpyBackend(small_points_table, predicate).evaluate(indices)
+        assert backend.evaluate(indices).tobytes() == reference.tobytes()
         backend.close()
 
-    def test_workload_spec_accepts_pushdown_options(self):
-        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=full")
-        assert spec.backend == "sqlite:pushdown=full"
-        dflt = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:pushdown=counts")
+    def test_workload_spec_accepts_database_option(self, tmp_path):
+        on_file = f"sqlite:database={tmp_path / 'neighbors.db'}"
+        spec = WorkloadSpec(dataset="neighbors", num_rows=120, backend=on_file)
+        assert spec.backend == on_file
+        dflt = WorkloadSpec(dataset="neighbors", num_rows=120, backend="sqlite:database=:memory:")
         assert dflt.backend == "sqlite"
 
 
 # -- capability advertisement --------------------------------------------------
 class TestCapabilities:
-    def test_levels_advertise_expected_capabilities(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        caps = {
-            level: make_backend(
-                f"sqlite:pushdown={level}", small_points_table, predicate
-            ).capabilities()
-            for level in ("off", "counts", "full")
-        }
-        assert caps["off"] == (CAP_EVALUATE,)
-        assert caps["counts"] == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
-        if WINDOW_FUNCTIONS_AVAILABLE:
-            assert caps["full"] == (
-                CAP_EVALUATE,
-                CAP_PREDICATE_PUSHDOWN,
-                CAP_STRATA_PUSHDOWN,
-                CAP_SAMPLING_PUSHDOWN,
-            )
-        else:
-            assert caps["full"] == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
-
     def test_callable_predicate_never_advertises_pushdown(self, small_points_table):
         predicate = CallablePredicate(
             lambda table, index: table["x"][index] > 5.0, feature_columns=("x",)
         )
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
+        backend = make_backend("sqlite", small_points_table, predicate)
         assert backend.capabilities() == (CAP_EVALUATE,)
+
+    def test_sqlite_advertises_predicate_pushdown(self, small_points_table):
+        predicate = SkybandPredicate("x", "y", k=3)
+        backend = make_backend("sqlite", small_points_table, predicate)
+        assert backend.capabilities() == (CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN)
 
     def test_baseline_backends_advertise_evaluate_only(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
@@ -441,18 +414,8 @@ class TestCapabilities:
 
     def test_repr_shows_capabilities(self, small_points_table):
         predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=off", small_points_table, predicate)
-        assert "capabilities=evaluate" in repr(backend)
-
-    @needs_window_functions
-    def test_pushdown_protocols_are_runtime_checkable(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
-        assert isinstance(backend, StrataPushdown)
-        assert isinstance(backend, SamplingPushdown)
-        # Structural typing alone is not enough: a numpy backend has no
-        # materialize_* surface, so the isinstance gate must reject it.
-        assert not isinstance(NumpyBackend(small_points_table, predicate), StrataPushdown)
+        backend = make_backend("sqlite", small_points_table, predicate)
+        assert "capabilities=evaluate+predicate-pushdown" in repr(backend)
 
     def test_parity_report_carries_capabilities(self):
         report = run_backend_parity(
@@ -461,37 +424,6 @@ class TestCapabilities:
         assert set(report.capabilities) == set(ALL_BACKEND_SPECS)
         assert report.capabilities["numpy"] == (CAP_EVALUATE,)
         assert CAP_PREDICATE_PUSHDOWN in report.capabilities["sqlite"]
-
-
-# -- constructor deprecation shim ----------------------------------------------
-class TestSqliteConstructorShim:
-    def test_bare_constructor_stays_silent(self, small_points_table):
-        import warnings
-
-        predicate = SkybandPredicate("x", "y", k=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            backend = SqliteBackend(small_points_table, predicate)
-        backend.close()
-
-    def test_keyword_surface_warns_but_works(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        with pytest.warns(DeprecationWarning, match="make_backend"):
-            shimmed = SqliteBackend(small_points_table, predicate, pushdown="off")
-        assert shimmed.pushdown == "off"
-        assert shimmed.capabilities() == (CAP_EVALUATE,)
-        via_spec = make_backend("sqlite:pushdown=off", small_points_table, predicate)
-        indices = np.arange(small_points_table.num_rows)
-        assert shimmed.evaluate(indices).tobytes() == via_spec.evaluate(indices).tobytes()
-
-    def test_make_backend_never_warns(self, small_points_table):
-        import warnings
-
-        predicate = SkybandPredicate("x", "y", k=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for spec in ("sqlite", "sqlite:pushdown=full"):
-                make_backend(spec, small_points_table, predicate).close()
 
 
 # -- chunked scan accounting ---------------------------------------------------
@@ -526,19 +458,7 @@ class TestChunkedScanAccounting:
             obs.reset()
 
 
-# -- NTILE layout arithmetic ---------------------------------------------------
-class TestNtileSizes:
-    @SETTINGS
-    @given(
-        population=st.integers(0, 4000),
-        groups=st.integers(1, 64),
-    )
-    def test_matches_array_split(self, population, groups):
-        expected = [part.size for part in np.array_split(np.arange(population), groups)]
-        assert _ntile_sizes(population, groups) == expected
-
-
-# -- estimator-stage pushdown --------------------------------------------------
+# -- seeded estimators across backends ------------------------------------------
 def _estimate_fingerprint(estimate):
     return (
         estimate.count,
@@ -549,12 +469,21 @@ def _estimate_fingerprint(estimate):
     )
 
 
-def _pushdown_query(table, predicate, spec):
+def _uncached_query(table, predicate, spec):
     return CountingQuery(table, predicate, backend=spec, cache_labels=False)
 
 
+def _estimator(method):
+    return LearnedWeightedSampling() if method == "lws" else LearnedStratifiedSampling()
+
+
 class TestPushdownGrid:
-    """pushdown=off/counts/full must be byte-identical for LWS and LSS."""
+    """LWS and LSS estimates are byte-identical on every backend of the grid.
+
+    The grid is the kernel reference (``numpy``), the predicate-pushdown SQL
+    backend (``sqlite``) and the streaming backend (``chunked:7``), each with
+    the label cache off so every stage really labels through its backend.
+    """
 
     @pytest.mark.parametrize("make_predicate", [
         lambda: NeighborCountPredicate("x", "y", max_neighbors=3, distance=0.5),
@@ -564,86 +493,60 @@ class TestPushdownGrid:
     def test_levels_byte_identical(self, small_points_table, make_predicate, method):
         budget = 60 if method == "lws" else 80
         fingerprints = set()
-        for spec in PUSHDOWN_SPECS:
-            query = _pushdown_query(small_points_table, make_predicate(), spec)
-            estimator = (
-                LearnedWeightedSampling() if method == "lws" else LearnedStratifiedSampling()
-            )
-            estimate = estimator.estimate(query, budget, seed=20190621)
+        for spec in ESTIMATOR_SPECS:
+            query = _uncached_query(small_points_table, make_predicate(), spec)
+            estimate = _estimator(method).estimate(query, budget, seed=20190621)
             fingerprints.add(_estimate_fingerprint(estimate) + (query.evaluations,))
         assert len(fingerprints) == 1
 
     @pytest.mark.parametrize("method", ["lws", "lss"])
     def test_tie_heavy_scores_byte_identical(self, method):
         # Integer-grid points: features collapse onto a handful of values, so
-        # classifier scores are tie-heavy and the ROW_NUMBER tie-break
-        # (score, then upload position) carries the ordering.
+        # classifier scores are tie-heavy and the stable argsort tie-break
+        # carries the ordering the strata are cut from.
         rng = np.random.default_rng(7)
         grid = rng.integers(0, 4, size=(180, 2)).astype(np.float64)
         table = Table({"x": grid[:, 0], "y": grid[:, 1]}, name="grid")
         predicate = SkybandPredicate("x", "y", k=2)
         budget = 50 if method == "lws" else 70
         fingerprints = set()
-        for spec in PUSHDOWN_SPECS:
-            query = _pushdown_query(table, predicate, spec)
-            estimator = (
-                LearnedWeightedSampling() if method == "lws" else LearnedStratifiedSampling()
-            )
-            estimate = estimator.estimate(query, budget, seed=31)
+        for spec in ESTIMATOR_SPECS:
+            query = _uncached_query(table, predicate, spec)
+            estimate = _estimator(method).estimate(query, budget, seed=31)
             fingerprints.add(_estimate_fingerprint(estimate) + (query.evaluations,))
         assert len(fingerprints) == 1
 
     def test_tiny_budget_empty_strata_byte_identical(self, small_points_table):
         # A stage-II budget small enough that some strata draw zero samples:
-        # those strata fall back to their pilot labels on every level.
+        # those strata fall back to their pilot labels on every backend.
         predicate = SkybandPredicate("x", "y", k=5)
         estimator = LearnedStratifiedSampling()
         fingerprints = set()
-        for spec in PUSHDOWN_SPECS:
-            query = _pushdown_query(small_points_table, predicate, spec)
+        for spec in ESTIMATOR_SPECS:
+            query = _uncached_query(small_points_table, predicate, spec)
             estimate = estimator.estimate(query, 36, seed=5)
             fingerprints.add(_estimate_fingerprint(estimate) + (query.evaluations,))
         assert len(fingerprints) == 1
 
     def test_cached_labels_skip_pushdown_but_stay_identical(self, small_points_table):
-        # With the bulk label cache on, stage pushdown is pointless (the
-        # cache is O(1)); the estimator must silently stay client-side and
-        # produce the same bytes.
+        # With the bulk label cache on, every oracle batch is an array lookup:
+        # the estimate issues no SQL at all and still matches the uncached
+        # estimate, which probes sqlite for each stage.
         predicate = SkybandPredicate("x", "y", k=5)
-        cached = CountingQuery(
-            small_points_table, predicate, backend="sqlite:pushdown=full", cache_labels=True
-        )
-        assert cached.stage_pushdown() is None
-        uncached = _pushdown_query(small_points_table, predicate, "sqlite:pushdown=full")
-        a = LearnedStratifiedSampling().estimate(cached, 80, seed=3)
-        b = LearnedStratifiedSampling().estimate(uncached, 80, seed=3)
-        assert _estimate_fingerprint(a) == _estimate_fingerprint(b)
-
-    @needs_window_functions
-    def test_nan_scores_decline_layout(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        backend = make_backend("sqlite:pushdown=full", small_points_table, predicate)
-        scores = np.linspace(0.0, 1.0, small_points_table.num_rows)
-        scores[3] = np.nan
-        objects = np.arange(small_points_table.num_rows)
-        assert backend.materialize_layout(objects, scores, 4) is None
-
-    @needs_window_functions
-    def test_ordering_divergence_raises(self, small_points_table):
-        predicate = SkybandPredicate("x", "y", k=3)
-        query = _pushdown_query(small_points_table, predicate, "sqlite:pushdown=full")
-        pushdown = query.stage_pushdown()
-        assert pushdown is not None and pushdown.supports_strata
-        objects = np.arange(small_points_table.num_rows)
-        scores = np.linspace(0.0, 1.0, objects.size)
-        layout = pushdown.strata_layout(objects, scores, 4)
+        cached = CountingQuery(small_points_table, predicate, backend="sqlite", cache_labels=True)
+        cached.true_count()  # the one bulk pass, outside the measured estimate
+        uncached = _uncached_query(small_points_table, predicate, "sqlite")
+        previous = obs.set_enabled(True)
         try:
-            positions = np.arange(5)
-            wrong_expectation = objects[positions] + 1
-            with pytest.raises(RuntimeError, match="diverged"):
-                pushdown.stage_labels(layout, positions, wrong_expectation)
+            obs.reset()
+            a = LearnedStratifiedSampling().estimate(cached, 80, seed=3)
+            assert obs.registry().counter_total(obs.SQL_ROUNDTRIPS) == 0
+            b = LearnedStratifiedSampling().estimate(uncached, 80, seed=3)
+            assert obs.registry().counter_total(obs.SQL_ROUNDTRIPS) > 0
         finally:
-            layout.close()
+            obs.set_enabled(previous)
+            obs.reset()
+        assert _estimate_fingerprint(a) == _estimate_fingerprint(b)
 
 
 @SETTINGS
@@ -655,68 +558,64 @@ def test_property_lws_pushdown_parity(data, table):
     seed = data.draw(st.integers(0, 2**31 - 1))
     predicate = SkybandPredicate("x", "y", k=2)
     fingerprints = set()
-    for spec in PUSHDOWN_SPECS:
-        query = _pushdown_query(table, predicate, spec)
+    for spec in ESTIMATOR_SPECS:
+        query = _uncached_query(table, predicate, spec)
         estimate = LearnedWeightedSampling().estimate(query, budget, seed=seed)
         fingerprints.add(_estimate_fingerprint(estimate) + (query.evaluations,))
     assert len(fingerprints) == 1
 
 
-# -- SQL round-trip accounting under pushdown ----------------------------------
+# -- SQL round trips and oracle batches per estimator stage -------------------
+def _stage_counters(query, estimator, budget, seed):
+    """SQL round trips and oracle batches (per stage) of one estimate."""
+    previous = obs.set_enabled(True)
+    try:
+        obs.reset()
+        estimator.estimate(query, budget, seed=seed)
+        registry = obs.registry()
+        return {
+            "roundtrips": registry.counter_total(obs.SQL_ROUNDTRIPS),
+            "batches": {
+                stage: registry.histogram_summary(obs.PREDICATE_BATCH_ROWS, stage=stage)[
+                    "count"
+                ]
+                for stage in ("learning.label", "lss.pilot", "lss.stage2")
+            },
+        }
+    finally:
+        obs.set_enabled(previous)
+        obs.reset()
+
+
 class TestStageQueryAccounting:
-    """Under ``pushdown=full`` each estimator stage costs one aggregate query."""
+    """Each LSS stage labels its draws with one oracle batch.
 
-    def _run(self, small_points_table, spec, method, budget, seed=20190621):
-        predicate = SkybandPredicate("x", "y", k=5)
-        previous = obs.set_enabled(True)
-        try:
-            obs.reset()
-            query = _pushdown_query(small_points_table, predicate, spec)
-            estimator = (
-                LearnedWeightedSampling() if method == "lws" else LearnedStratifiedSampling()
-            )
-            estimator.estimate(query, budget, seed=seed)
-            registry = obs.registry()
-            return {
-                "roundtrips": registry.counter_total(obs.SQL_ROUNDTRIPS, backend=spec),
-                "stage_queries": registry.counter_total(obs.SQL_STAGE_QUERIES, backend=spec),
-                "by_stage": {
-                    stage: registry.counter_total(
-                        obs.SQL_STAGE_QUERIES, backend=spec, stage=stage
-                    )
-                    for stage in ("lws.sampling", "lss.pilot", "lss.stage2")
-                },
-            }
-        finally:
-            obs.set_enabled(previous)
-            obs.reset()
-
-    @needs_window_functions
-    def test_lws_full_one_stage_query(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite:pushdown=full", "lws", 60)
-        # One batched probe round trip for the learning phase, then the
-        # entire weighted-sampling stage answered by one aggregate query.
-        assert counters["stage_queries"] == 1
-        assert counters["by_stage"]["lws.sampling"] == 1
-        assert counters["roundtrips"] == 1
-
-    @needs_window_functions
-    def test_lss_full_one_stage_query_per_stage(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite:pushdown=full", "lss", 80)
-        assert counters["stage_queries"] == 2
-        assert counters["by_stage"]["lss.pilot"] == 1
-        assert counters["by_stage"]["lss.stage2"] == 1
-        assert counters["roundtrips"] == 1
+    On the default ``sqlite`` backend a batch of at most 500 objects is one
+    probe round trip, so an LSS estimate costs one round trip per stage:
+    learning, pilot and stage II.
+    """
 
     def test_counts_level_uses_probe_roundtrips(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite", "lss", 80)
-        assert counters["stage_queries"] == 0
-        assert counters["roundtrips"] >= 2
+        predicate = SkybandPredicate("x", "y", k=5)
+        query = _uncached_query(small_points_table, predicate, "sqlite")
+        counters = _stage_counters(query, LearnedStratifiedSampling(), 80, seed=20190621)
+        assert counters["roundtrips"] == 3
+        assert counters["batches"] == {"learning.label": 1, "lss.pilot": 1, "lss.stage2": 1}
 
-    def test_off_level_never_touches_sql(self, small_points_table):
-        counters = self._run(small_points_table, "sqlite:pushdown=off", "lss", 80)
-        assert counters["stage_queries"] == 0
-        assert counters["roundtrips"] == 0
+    def test_lss_estimate_costs_three_roundtrips_on_benchmark_workload(self):
+        # The served ``oneshot-sqlite`` shape: 12 000-row neighbors table,
+        # default sqlite backend, label cache off, one LSS estimate at 600.
+        workload = build_workload(
+            "neighbors", level="S", num_rows=12_000, seed=7, cache_labels=False,
+            backend="sqlite",
+        )
+        estimator = LearnedStratifiedSampling()
+        on_sqlite = _stage_counters(workload.query, estimator, 600, seed=11)
+        assert on_sqlite["roundtrips"] == 3
+        on_numpy = _stage_counters(workload.query.with_backend("numpy"), estimator, 600, seed=11)
+        assert on_numpy["roundtrips"] == 0
+        expected = {"learning.label": 1, "lss.pilot": 1, "lss.stage2": 1}
+        assert on_sqlite["batches"] == on_numpy["batches"] == expected
 
 
 # -- capabilities surface in the service ---------------------------------------
@@ -724,12 +623,10 @@ class TestServiceCapabilityStats:
     def test_stats_report_backend_capabilities(self):
         from repro.service.session import Session
 
-        with Session(
-            "neighbors", num_rows=120, backend="sqlite:pushdown=full", cache_labels=False
-        ) as session:
+        with Session("neighbors", num_rows=120, backend="sqlite", cache_labels=False) as session:
             session.estimate("srs", budget_fraction=0.1, num_trials=1, seed=11)
             stats = session.stats_dict()
             backends = {entry["spec"]: entry for entry in stats["backends"]}
-            assert "sqlite:pushdown=full" in backends
-            caps = backends["sqlite:pushdown=full"]["capabilities"]
-            assert CAP_EVALUATE in caps
+            assert "sqlite" in backends
+            caps = backends["sqlite"]["capabilities"]
+            assert caps == [CAP_EVALUATE, CAP_PREDICATE_PUSHDOWN]

@@ -1,10 +1,10 @@
-"""Tests for the sqlite3 backend: SQL and numpy predicates must agree."""
+"""Tests for the sqlite3 materialisation helpers behind the SQL backend."""
 
 import numpy as np
 import pytest
 
-from repro.query.predicates import NeighborCountPredicate, SkybandPredicate
-from repro.query.sql import SQLCountingBackend, quote_identifier, table_to_sqlite
+from repro.query.predicates import SkybandPredicate
+from repro.query.sql import quote_identifier, table_to_sqlite
 from repro.query.table import Table
 
 
@@ -81,50 +81,3 @@ class TestTableToSqlite:
         sql_query = CountingQuery(table, predicate, backend="sqlite", cache_labels=False)
         indices = np.arange(40)
         assert np.array_equal(numpy_query.evaluate(indices), sql_query.evaluate(indices))
-
-
-class TestSkybandSQL:
-    def test_full_query_matches_numpy_predicate(self, sql_points):
-        k = 3
-        expected = int(SkybandPredicate("x", "y", k=k).evaluate_all(sql_points).sum())
-        with SQLCountingBackend(sql_points) as backend:
-            assert backend.skyband_count_full_query("x", "y", k) == expected
-
-    def test_per_object_predicate_matches_numpy(self, sql_points):
-        k = 3
-        predicate = SkybandPredicate("x", "y", k=k)
-        labels = predicate.evaluate_all(sql_points)
-        with SQLCountingBackend(sql_points) as backend:
-            for index in range(0, 60, 6):
-                assert backend.skyband_predicate("x", "y", k, index) == bool(labels[index])
-
-    def test_count_with_predicate_helper(self, sql_points):
-        k = 2
-        predicate = SkybandPredicate("x", "y", k=k)
-        labels = predicate.evaluate_all(sql_points)
-        subset = list(range(0, 60, 5))
-        with SQLCountingBackend(sql_points) as backend:
-            count = backend.count_with_predicate(
-                "skyband", subset, x_column="x", y_column="y", k=k
-            )
-        assert count == int(labels[subset].sum())
-
-    def test_unknown_predicate_rejected(self, sql_points):
-        with SQLCountingBackend(sql_points) as backend:
-            with pytest.raises(ValueError):
-                backend.count_with_predicate("bogus", [0])
-
-
-class TestNeighborSQL:
-    def test_full_query_matches_numpy_predicate(self, sql_points):
-        predicate = NeighborCountPredicate("x", "y", max_neighbors=2, distance=1.5)
-        expected = int(predicate.evaluate_all(sql_points).sum())
-        with SQLCountingBackend(sql_points) as backend:
-            assert backend.neighbor_count_full_query("x", "y", 2, 1.5) == expected
-
-    def test_per_object_predicate_matches_numpy(self, sql_points):
-        predicate = NeighborCountPredicate("x", "y", max_neighbors=2, distance=1.5)
-        labels = predicate.evaluate_all(sql_points)
-        with SQLCountingBackend(sql_points) as backend:
-            for index in range(0, 60, 7):
-                assert backend.neighbor_predicate("x", "y", 2, 1.5, index) == bool(labels[index])
