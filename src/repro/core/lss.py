@@ -21,6 +21,7 @@ import numpy as np
 from repro.core.estimate import CountEstimate
 from repro.core.learning_phase import run_learning_phase
 from repro.core.stratification import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     dirsol_design,
@@ -198,11 +199,13 @@ class LearnedStratifiedSampling:
         With very small pilot samples (tiny budgets) the optimizer's
         minimum-size constraints can be unsatisfiable; the estimator must
         still return an unbiased estimate, so it falls back to the
-        constraint-free fixed-height layout in that case.
+        constraint-free fixed-height layout in that case.  Only
+        :class:`InfeasibleDesignError` triggers the fallback; an invalid
+        optimizer option still raises.
         """
         try:
             return self._design(pilot, sorted_scores, second_stage_samples)
-        except ValueError:
+        except InfeasibleDesignError:
             return fixed_height_design(
                 pilot, self.num_strata, second_stage_samples, self.allocation
             )

@@ -16,6 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class InfeasibleDesignError(ValueError):
+    """No stratification of this pilot satisfies the minimum-size constraints.
+
+    Raised by the optimizers when the failure depends on the pilot sample
+    (too few pilot objects, or no feasible candidate strata), as opposed to
+    an invalid argument.  LSS falls back to a fixed-height layout on this
+    error only.
+    """
+
+
 @dataclass
 class PilotSample:
     """A labelled pilot sample positioned within the score ordering.

@@ -17,6 +17,7 @@ from math import comb
 import numpy as np
 
 from repro.core.stratification.design import (
+    InfeasibleDesignError,
     PilotSample,
     StratificationDesign,
     default_minimum_stratum_size,
@@ -127,7 +128,7 @@ def logbdr_design(
                 best_design = candidate
 
     if best_design is None:
-        raise ValueError(
+        raise InfeasibleDesignError(
             "no feasible stratification satisfies the minimum-size constraints; "
             "reduce num_strata or the minimums"
         )

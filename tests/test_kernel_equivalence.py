@@ -13,7 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.stratification.design import PilotSample
+from repro.core.stratification import dynpgm as dynpgm_module
+from repro.core.stratification.design import (
+    InfeasibleDesignError,
+    PilotSample,
+    candidate_boundary_cuts,
+)
 from repro.core.stratification.dirsol import dirsol_design, dirsol_design_reference
 from repro.core.stratification.dynpgm import dynpgm_design, dynpgm_design_reference
 from repro.query.predicates import NeighborCountPredicate, SkybandPredicate
@@ -185,6 +190,93 @@ class TestDesignOptimizerKernels:
         fast = dynpgm_design(pilot, 3, 40, grid_ratio=0.25)
         reference = dynpgm_design_reference(pilot, 3, 40, grid_ratio=0.25)
         np.testing.assert_array_equal(fast.cuts, reference.cuts)
+
+
+
+def _assert_same_design_or_error(pilot, num_strata, budget, **options):
+    """Both DynPgm paths return the same design, or both raise the same error."""
+    try:
+        reference = dynpgm_design_reference(pilot, num_strata, budget, **options)
+    except ValueError as error:
+        with pytest.raises(type(error)):
+            dynpgm_design(pilot, num_strata, budget, **options)
+        return None
+    fast = dynpgm_design(pilot, num_strata, budget, **options)
+    np.testing.assert_array_equal(fast.cuts, reference.cuts)
+    assert fast.objective_value == reference.objective_value
+    np.testing.assert_array_equal(fast.stratum_sizes, reference.stratum_sizes)
+    np.testing.assert_array_equal(fast.stratum_variances, reference.stratum_variances)
+    return fast
+
+
+def _sweep_pilot(rng, kind: str, population: int, pilot_size: int) -> PilotSample:
+    positions = np.sort(rng.choice(population, size=pilot_size, replace=False))
+    if kind == "pure":
+        labels = np.full(pilot_size, float(rng.integers(0, 2)))
+    elif kind == "threshold":
+        labels = (positions >= rng.uniform(0.2, 0.8) * population).astype(float)
+    else:
+        labels = (rng.uniform(size=pilot_size) < rng.uniform(0.05, 0.95)).astype(float)
+    return PilotSample(positions, labels, population)
+
+
+class TestDynPgmKernelSweep:
+    """Seeded randomized sweep of the blocked DynPgm DP against its reference."""
+
+    @pytest.mark.parametrize("case", range(36))
+    def test_random_pilots_byte_identical(self, case):
+        rng = child_rngs(36)[case]
+        kind = ("pure", "threshold", "random")[case % 3]
+        grid_ratio = (1.0, 0.5, 0.25)[case // 3 % 3]
+        num_strata = 1 + case % 6
+        population = int(rng.integers(200, 3_000))
+        pilot = _sweep_pilot(rng, kind, population, int(rng.integers(8, 60)))
+        _assert_same_design_or_error(
+            pilot,
+            num_strata,
+            int(rng.integers(10, 150)),
+            grid_ratio=grid_ratio,
+            min_pilot_per_stratum=1 + case % 4,
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"min_stratum_size": 10_000},
+            {"min_pilot_per_stratum": 31},
+            {"min_stratum_size": 2_001, "grid_ratio": 0.25},
+        ],
+    )
+    def test_infeasible_inputs_raise_like_reference(self, options):
+        pilot = _sweep_pilot(child_rngs(1)[0], "random", 2_000, 30)
+        assert _assert_same_design_or_error(pilot, 4, 60, **options) is None
+        with pytest.raises(InfeasibleDesignError):
+            dynpgm_design(pilot, 4, 60, **options)
+
+    @pytest.mark.slow
+    def test_benchmark_sized_grid_byte_identical(self):
+        # The served sweep's shape: 12 000 objects, a 180-object pilot and a
+        # candidate grid of ~2 100 cuts, i.e. many row blocks per level.
+        rng = child_rngs(2)[1]
+        population = 12_000
+        positions = np.sort(rng.choice(population, size=180, replace=False))
+        probabilities = np.clip((positions / population - 0.4) * 3.0, 0.01, 0.97)
+        labels = (rng.uniform(size=180) < probabilities).astype(float)
+        pilot = PilotSample(positions, labels, population)
+        assert candidate_boundary_cuts(pilot).size > 2_000
+        assert _assert_same_design_or_error(pilot, 4, 420, min_pilot_per_stratum=5) is not None
+
+    def test_candidate_cuts_looked_up_once_through_module_global(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return candidate_boundary_cuts(*args, **kwargs)
+
+        monkeypatch.setattr(dynpgm_module, "candidate_boundary_cuts", counting)
+        pilot = random_pilot(child_rngs(8)[4])
+        dynpgm_design(pilot, 4, 60)
+        assert len(calls) == 1
 
 
 class TestStratifiedEstimatorKernel:

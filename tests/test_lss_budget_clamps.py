@@ -67,3 +67,17 @@ class TestTinyBudgets:
             estimate = estimator.estimate(workload.query, 10, seed=np.random.default_rng(4))
             assert workload.query.evaluations == estimate.predicate_evaluations
             assert workload.query.evaluations <= 10
+
+
+class TestDesignFallback:
+    def test_invalid_optimizer_option_raises(self, workload):
+        # A configuration error is not an infeasible pilot: it must surface
+        # instead of silently serving a fixed-height estimate.
+        estimator = LearnedStratifiedSampling(optimizer_options={"grid_ratio": -1.0})
+        with pytest.raises(ValueError, match="grid_ratio"):
+            estimator.estimate(workload.query, 60, seed=np.random.default_rng(2))
+
+    def test_infeasible_pilot_falls_back_to_fixed_height(self, workload):
+        estimator = LearnedStratifiedSampling(min_stratum_size=workload.num_objects + 1)
+        estimate = estimator.estimate(workload.query, 60, seed=np.random.default_rng(2))
+        assert estimate.details["design"].algorithm == "fixed-height"
