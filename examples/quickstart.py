@@ -16,6 +16,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
 import repro
+from repro import obs
+from repro.experiments.figure3 import lss_phase_seconds
 from repro.workloads import build_neighbors_workload
 
 
@@ -31,8 +33,14 @@ def main() -> None:
 
     # The session facade is the canonical entry point; adopting the built
     # workload makes it resident, so follow-up estimates reuse the table.
-    with repro.session(workload) as facade:
-        result = facade.estimate_query(query, budget=budget, method="lss", seed=42)
+    # Tracing the estimate (obs never changes its bytes) yields the span
+    # tree the overhead breakdown below is read from.
+    previous = obs.set_enabled(True)
+    try:
+        with repro.session(workload) as facade, obs.span("quickstart") as root:
+            result = facade.estimate_query(query, budget=budget, method="lss", seed=42)
+    finally:
+        obs.set_enabled(previous)
     estimate = result.estimate
     low, high = estimate.count_interval
 
@@ -44,13 +52,13 @@ def main() -> None:
     print(f"Predicate calls : {estimate.predicate_evaluations} "
           f"({estimate.predicate_evaluations / query.num_objects:.1%} of the objects)")
 
-    timings = estimate.details["timings"]
+    phases = lss_phase_seconds(root)
     print()
     print("LSS overhead breakdown (seconds):")
-    print(f"  learning        {timings.learning_seconds:.4f}")
-    print(f"  sample design   {timings.design_seconds:.4f}")
-    print(f"  phase-2 overhead{timings.sampling_overhead_seconds:9.4f}")
-    print(f"  predicate       {timings.predicate_seconds:.4f}")
+    print(f"  learning        {phases['p1_learning_s']:.4f}")
+    print(f"  sample design   {phases['p1_design_s']:.4f}")
+    print(f"  phase-2 overhead{phases['p2_overhead_s']:9.4f}")
+    print(f"  predicate       {phases['predicate_s']:.4f}")
 
 
 if __name__ == "__main__":

@@ -27,9 +27,10 @@ class CountEstimate:
         predicate_evaluations: how many times the expensive predicate ``q``
             was evaluated to produce this estimate (the paper's cost model).
         method: short identifier of the estimator (``"srs"``, ``"lss"`` ...).
-        interval: confidence interval on the *count* scale, when the
+        interval: confidence interval on the *proportion* scale, when the
             estimator provides statistical guarantees (``None`` for pure
-            learning estimators such as Classify-and-Count).
+            learning estimators such as Classify-and-Count);
+            :attr:`count_interval` rescales it to counts.
         variance: estimated variance of the proportion estimator, when
             available.
         count_offset: an exactly-known count added on top of the estimated
@@ -37,7 +38,7 @@ class CountEstimate:
             labelled during the learning phase; that part carries no
             statistical uncertainty and is reported here.
         details: free-form per-method diagnostics (stratum boundaries,
-            timings, classifier statistics, ...).
+            classifier statistics, ...).
     """
 
     count: float

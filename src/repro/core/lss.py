@@ -12,8 +12,6 @@ never to a biased estimator.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -44,40 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 #: Optimizers selectable through the ``optimizer`` constructor argument.
 OPTIMIZERS = ("dynpgm", "dynpgm_prop", "logbdr", "dirsol", "fixed_width", "fixed_height")
-
-
-@dataclass(frozen=True)
-class LSSPhaseTimings:
-    """Wall-clock breakdown of one LSS estimate (the paper's Figure 3).
-
-    Attributes:
-        learning_seconds: classifier training time (phase-1 learning
-            overhead, excluding predicate evaluation).
-        design_seconds: pilot bookkeeping plus stratification/allocation
-            optimisation (phase-1 sample-design overhead).
-        sampling_overhead_seconds: scoring, ordering and sampling machinery
-            in phase 2 (excluding predicate evaluation).
-        predicate_seconds: total time spent inside the expensive predicate.
-        total_seconds: end-to-end wall-clock time of the estimate.
-    """
-
-    learning_seconds: float
-    design_seconds: float
-    sampling_overhead_seconds: float
-    predicate_seconds: float
-    total_seconds: float
-
-    @property
-    def overhead_seconds(self) -> float:
-        """Total LSS-specific overhead (everything except the predicate)."""
-        return self.learning_seconds + self.design_seconds + self.sampling_overhead_seconds
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Overhead as a fraction of total wall-clock time."""
-        if self.total_seconds <= 0:
-            return 0.0
-        return self.overhead_seconds / self.total_seconds
 
 
 class LearnedStratifiedSampling:
@@ -217,11 +181,8 @@ class LearnedStratifiedSampling:
         sampling_budget: int,
         rng: np.random.Generator,
         evaluations_before: int,
-        total_started: float,
-        predicate_seconds_before: float,
         learning_positives: float,
         learning_count: int,
-        training_seconds: float,
     ) -> CountEstimate:
         """Deterministic fallback when the two-stage design is infeasible.
 
@@ -229,29 +190,16 @@ class LearnedStratifiedSampling:
         for both a pilot and a per-stratum second stage, so the whole
         sampling budget becomes one simple random sample over the unlabelled
         remainder — an unbiased estimate with a valid interval, combined
-        with the exactly-known learning-phase positives as usual.  The
-        details carry the same ``timings`` breakdown as the two-stage path
-        so overhead consumers keep working on degenerate configurations.
+        with the exactly-known learning-phase positives as usual.
         """
         population = ordered_objects.size
         take = int(min(sampling_budget, population))
         with obs.stage("lss.pilot"):
-            overhead_started = time.perf_counter()
             positions = sample_without_replacement(population, take, seed=rng)
-            sampling_overhead_seconds = time.perf_counter() - overhead_started
             labels = query.evaluate(ordered_objects[positions])
-            overhead_started = time.perf_counter()
             srs = SimpleRandomSampling(confidence=self.confidence).estimate_from_labels(
                 labels, population
             )
-            sampling_overhead_seconds += time.perf_counter() - overhead_started
-        timings = LSSPhaseTimings(
-            learning_seconds=training_seconds,
-            design_seconds=0.0,
-            sampling_overhead_seconds=sampling_overhead_seconds,
-            predicate_seconds=query.evaluation_seconds - predicate_seconds_before,
-            total_seconds=time.perf_counter() - total_started,
-        )
         return CountEstimate(
             count=srs.count + learning_positives,
             proportion=srs.proportion,
@@ -263,7 +211,6 @@ class LearnedStratifiedSampling:
             count_offset=learning_positives,
             details={
                 "degenerate": "pilot-only",
-                "timings": timings,
                 "learning_count": learning_count,
                 "learning_positives": learning_positives,
                 "pilot_size": take,
@@ -291,9 +238,7 @@ class LearnedStratifiedSampling:
             query = query.with_backend(backend)
         budget = min(budget, query.num_objects)
         rng = resolve_rng(seed)
-        total_started = time.perf_counter()
         evaluations_before = query.evaluations
-        predicate_seconds_before = query.evaluation_seconds
 
         learning_budget = max(int(round(self.learning_fraction * budget)), 2)
         learning_budget = min(learning_budget, budget - 4)
@@ -321,13 +266,11 @@ class LearnedStratifiedSampling:
         sampling_budget = min(sampling_budget, remaining.size)
 
         # Order the remaining objects by classifier score.
-        overhead_started = time.perf_counter()
         with obs.stage("lss.scoring"):
             scores = learning.classifier.predict_scores(query.features(remaining))
             order = np.argsort(scores, kind="stable")
             ordered_objects = remaining[order]
             sorted_scores = scores[order]
-        sampling_overhead_seconds = time.perf_counter() - overhead_started
 
         return self._sampling_phase(
             query,
@@ -336,12 +279,8 @@ class LearnedStratifiedSampling:
             sampling_budget,
             rng,
             evaluations_before=evaluations_before,
-            total_started=total_started,
-            predicate_seconds_before=predicate_seconds_before,
             learning_positives=learning.positive_count,
             learning_count=learning.labelled_count,
-            training_seconds=learning.training_seconds,
-            sampling_overhead_seconds=sampling_overhead_seconds,
         )
 
     def estimate_from_scores(
@@ -368,9 +307,7 @@ class LearnedStratifiedSampling:
         if budget < 2:
             raise ValueError("budget must be at least 2 predicate evaluations")
         rng = resolve_rng(seed)
-        total_started = time.perf_counter()
         evaluations_before = query.evaluations
-        predicate_seconds_before = query.evaluation_seconds
 
         labels = learned.labels_for(query)
         learning_positives = float(labels.sum())
@@ -392,12 +329,8 @@ class LearnedStratifiedSampling:
             sampling_budget,
             rng,
             evaluations_before=evaluations_before,
-            total_started=total_started,
-            predicate_seconds_before=predicate_seconds_before,
             learning_positives=learning_positives,
             learning_count=int(labels.size),
-            training_seconds=0.0,
-            sampling_overhead_seconds=0.0,
         )
 
     def _sampling_phase(
@@ -408,12 +341,8 @@ class LearnedStratifiedSampling:
         sampling_budget: int,
         rng: np.random.Generator,
         evaluations_before: int,
-        total_started: float,
-        predicate_seconds_before: float,
         learning_positives: float,
         learning_count: int,
-        training_seconds: float,
-        sampling_overhead_seconds: float,
     ) -> CountEstimate:
         """Pilot + stage-II stratified estimation over a score-ordered population.
 
@@ -442,11 +371,8 @@ class LearnedStratifiedSampling:
                 sampling_budget,
                 rng,
                 evaluations_before,
-                total_started,
-                predicate_seconds_before,
                 learning_positives,
                 learning_count,
-                training_seconds,
             )
         pilot_size = int(round(self.pilot_fraction * sampling_budget))
         pilot_size = max(
@@ -464,7 +390,6 @@ class LearnedStratifiedSampling:
             pilot = PilotSample(pilot_positions, pilot_labels, ordered_objects.size)
 
         # Sample design: stratification + allocation.
-        design_started = time.perf_counter()
         with obs.stage("lss.design", optimizer=self.optimizer):
             design = self._design_with_fallback(
                 pilot, sorted_scores, max(second_stage_samples, 1)
@@ -499,7 +424,6 @@ class LearnedStratifiedSampling:
                 second_stage_samples,
                 stratum_stds=allocation_stds,
             )
-        design_seconds = time.perf_counter() - design_started
 
         # Stage II: draw the allotted samples, excluding pilot objects.  Only
         # the fresh stage-II labels feed the final estimator: the pilot
@@ -507,7 +431,6 @@ class LearnedStratifiedSampling:
         # inside the strata they delimit would bias the estimate (most
         # visibly by making "all-negative" strata look exactly empty).
         with obs.stage("lss.stage2"):
-            overhead_started = time.perf_counter()
             # Draw every stratum's positions first, then label all of them
             # with one oracle batch.  Label evaluation consumes no
             # randomness, so the rng stream is exactly that of drawing and
@@ -528,7 +451,6 @@ class LearnedStratifiedSampling:
                     # fall back to its pilot labels rather than treating it as
                     # unobserved.
                     pilot_fallbacks.append(pilot_labels[in_stratum_mask])
-            stage2_overhead = time.perf_counter() - overhead_started
             fresh: Iterator[np.ndarray] = iter(())
             if drawn:
                 labels = query.evaluate(ordered_objects[np.concatenate(drawn)])
@@ -545,18 +467,9 @@ class LearnedStratifiedSampling:
                 method=self.method_name,
             )
 
-        predicate_seconds = query.evaluation_seconds - predicate_seconds_before
-        timings = LSSPhaseTimings(
-            learning_seconds=training_seconds,
-            design_seconds=design_seconds,
-            sampling_overhead_seconds=sampling_overhead_seconds + stage2_overhead,
-            predicate_seconds=predicate_seconds,
-            total_seconds=time.perf_counter() - total_started,
-        )
         details = {
             "design": design,
             "allocation": allocation.counts,
-            "timings": timings,
             "learning_count": learning_count,
             "learning_positives": learning_positives,
             "pilot_size": pilot_size,

@@ -11,7 +11,6 @@ poor classifier only costs extra variance, never bias.
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.core.estimate import CountEstimate
@@ -110,10 +109,8 @@ class LearnedWeightedSampling:
                 details={"degenerate": True},
             )
 
-        overhead_started = time.perf_counter()
         with obs.stage("lws.scoring"):
             scores = learning.classifier.predict_scores(query.features(remaining))
-        overhead_seconds = time.perf_counter() - overhead_started
 
         sampler = WeightedSampling(floor=self.score_floor, confidence=self.confidence)
         with obs.stage("lws.sampling"):
@@ -131,8 +128,6 @@ class LearnedWeightedSampling:
             {
                 "learning_count": learning.labelled_count,
                 "learning_positives": learning.positive_count,
-                "scoring_seconds": overhead_seconds,
-                "training_seconds": learning.training_seconds,
             }
         )
         return CountEstimate(
@@ -200,8 +195,6 @@ class LearnedWeightedSampling:
             {
                 "learning_count": int(labels.size),
                 "learning_positives": learning_positives,
-                "scoring_seconds": 0.0,
-                "training_seconds": 0.0,
             }
         )
         return CountEstimate(

@@ -1,33 +1,24 @@
-"""A single-call facade over every estimator in the library (deprecated).
+"""The one-shot estimate result and the method names it dispatches over.
 
-``learn_to_sample`` runs any of the estimators — the learn-to-sample methods,
-the quantification-learning estimators and the sampling baselines — against a
-:class:`~repro.query.counting.CountingQuery`, with the same budget semantics,
+:meth:`~repro.service.session.Session.estimate_query` runs any of the
+estimators — the learn-to-sample methods, the quantification-learning
+estimators and the sampling baselines — against a caller-owned
+:class:`~repro.query.counting.CountingQuery` with the same budget semantics,
 and returns the estimate together with context that the experiment harness
-and the examples find useful (ground truth, realised error, classifier name).
-
-The canonical entry point is now the resident session facade,
-``repro.session(...)`` — which keeps tables, label caches and learned scores
-alive across calls instead of rebuilding per query.  ``learn_to_sample``
-remains as a thin shim over a throwaway
-:meth:`~repro.service.session.Session.estimate_query` (the exact dispatch
-this module used to own), so its estimates stay byte-identical release over
-release; it emits a :class:`DeprecationWarning`.
+and the examples find useful (ground truth, realised error).  This module
+holds its result type, its method names and the grid strata of the
+SSP/SSN baselines.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Any
-
 
 from repro.core.estimate import CountEstimate
 from repro.query.counting import CountingQuery
-from repro.sampling.rng import SeedLike
 from repro.sampling.stratified import attribute_grid_strata
 
-#: Methods accepted by :func:`learn_to_sample`.
+#: Methods accepted by :meth:`~repro.service.session.Session.estimate_query`.
 METHODS = ("lss", "lws", "qlcc", "qlac", "srs", "ssp", "ssn")
 
 
@@ -65,57 +56,3 @@ def _grid_partition(query: CountingQuery, num_strata: int):
     features = query.features()
     cells = max(int(round(num_strata ** (1.0 / features.shape[1]))), 1)
     return attribute_grid_strata(features, cells_per_dimension=cells)
-
-
-def learn_to_sample(
-    query: CountingQuery,
-    budget: int,
-    method: str = "lss",
-    seed: SeedLike = None,
-    num_strata: int = 4,
-    backend: str | None = None,
-    **estimator_options: Any,
-) -> LearnToSampleResult:
-    """Estimate a counting query with the chosen method.
-
-    Args:
-        query: the counting query to estimate.
-        budget: number of expensive-predicate evaluations the estimator may
-            spend.
-        method: one of ``"lss"``, ``"lws"``, ``"qlcc"``, ``"qlac"``,
-            ``"srs"``, ``"ssp"``, ``"ssn"``.
-        seed: RNG seed or generator.
-        num_strata: number of strata for the stratified methods.
-        backend: optional query-backend override (spec string, see
-            :mod:`repro.query.backends`); the estimate is byte-identical
-            whichever backend executes the predicate.
-        **estimator_options: forwarded to the chosen estimator's constructor.
-
-    Returns:
-        A :class:`LearnToSampleResult` with the estimate and ground truth.
-
-    .. deprecated::
-        Use ``repro.session(...)`` — estimates through a resident session pay
-        the table/learning cost once across calls.  This shim delegates to a
-        throwaway session's ``estimate_query``, which performs the exact
-        dispatch (same estimator construction, same seed consumption) this
-        function always did, so results are byte-identical.
-    """
-    warnings.warn(
-        "learn_to_sample() is deprecated; use repro.session(...).estimate() for "
-        "resident workloads, or Session.estimate_query() for one-shot queries",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Lazy import: the service layer imports this module for the result type.
-    from repro.service.session import Session
-
-    return Session().estimate_query(
-        query,
-        budget,
-        method=method,
-        seed=seed,
-        num_strata=num_strata,
-        backend=backend,
-        **estimator_options,
-    )

@@ -1,26 +1,65 @@
 """Figure 3: LSS overhead versus sample size.
 
 The paper breaks LSS's extra work (relative to plain stratified sampling)
-into three phases — P1 learning (classifier training), P1 sample design
+into three phases — P1 learning (classifier (re-)training), P1 sample design
 (variance estimation + strata layout) and P2 overhead (classification,
 ordering, sampling machinery) — and shows that together they are a tiny
 fraction (≈0.2 %) of total runtime, which is dominated by expensive-predicate
 evaluation.  This driver measures the same three phases with the real
-(uncached) predicate.
+(uncached) predicate, reading them off the :mod:`repro.obs` span tree of each
+estimate (:func:`lss_phase_seconds`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
+from repro import obs
 from repro.core.lss import LearnedStratifiedSampling
 from repro.experiments.common import build_scaled_workload
 from repro.experiments.config import SMALL_SCALE, ExperimentScale
+from repro.obs.trace import Span, iter_spans
 from repro.parallel.engine import ExecutionEngine
 from repro.query.counting import CountingQuery
 from repro.query.predicates import CallablePredicate
 from repro.sampling.rng import spawn_seeds
 from repro.workloads.queries import Workload
+
+
+#: LSS stages whose non-predicate time is phase-2 overhead.
+_PHASE2_STAGES = ("lss.scoring", "lss.pilot", "lss.stage2")
+
+
+def lss_phase_seconds(root: Span) -> dict[str, float]:
+    """Figure 3's phases of the LSS estimates traced under ``root``.
+
+    Predicate time is every ``oracle.evaluate`` span; each phase is its LSS
+    stage spans minus the predicate time inside them, so the four phases are
+    disjoint and add up to at most the root's duration.
+    """
+    stage_seconds = dict.fromkeys(("lss.learning", "lss.design", *_PHASE2_STAGES), 0.0)
+    oracle_seconds = dict.fromkeys(stage_seconds, 0.0)
+    for span in iter_spans(root):
+        if span.name in stage_seconds:
+            stage_seconds[span.name] += span.duration_seconds
+            oracle_seconds[span.name] += sum(
+                inner.duration_seconds
+                for inner in iter_spans(span)
+                if inner.name == "oracle.evaluate"
+            )
+    return {
+        "p1_learning_s": stage_seconds["lss.learning"] - oracle_seconds["lss.learning"],
+        "p1_design_s": stage_seconds["lss.design"],
+        "p2_overhead_s": sum(
+            stage_seconds[name] - oracle_seconds[name] for name in _PHASE2_STAGES
+        ),
+        "predicate_s": sum(
+            span.duration_seconds for span in iter_spans(root) if span.name == "oracle.evaluate"
+        ),
+        "total_s": root.duration_seconds,
+    }
 
 
 def _with_expensive_predicate(workload: Workload, cost_seconds: float) -> Workload:
@@ -80,34 +119,30 @@ def _overhead_point(
     process: the wrapped expensive predicate closes over lambdas and cannot
     be pickled, so each worker rebuilds its own wrapped workload.  Timings
     are wall-clock measurements, not estimates, so parallel runs report the
-    same structure but (legitimately) different seconds.
+    same structure but (legitimately) different seconds.  Each trial is
+    traced with obs switched on; the caller's obs state is restored after.
     """
     dataset, level, scale, fraction, trials_per_point, predicate_cost_seconds = args
     workload = _wrapped_workload(dataset, level, scale, predicate_cost_seconds)
     budget = workload.sample_size(fraction)
-    learning = design = phase2 = predicate = total = 0.0
+    sums: Counter[str] = Counter()
     for rng in spawn_seeds(scale.seed, trials_per_point):
-        with workload.query.fresh_accounting():
-            estimate = LearnedStratifiedSampling().estimate(workload.query, budget, seed=rng)
-        timings = estimate.details["timings"]
-        learning += timings.learning_seconds
-        design += timings.design_seconds
-        phase2 += timings.sampling_overhead_seconds
-        predicate += timings.predicate_seconds
-        total += timings.total_seconds
-    scale_factor = 1.0 / trials_per_point
-    overhead = (learning + design + phase2) * scale_factor
-    total_mean = total * scale_factor
+        previous = obs.set_enabled(True)
+        try:
+            with obs.span("figure3.trial") as root, workload.query.fresh_accounting():
+                LearnedStratifiedSampling().estimate(workload.query, budget, seed=rng)
+        finally:
+            obs.set_enabled(previous)
+        sums.update(lss_phase_seconds(root))
+    means = {phase: seconds / trials_per_point for phase, seconds in sums.items()}
+    overhead = means["p1_learning_s"] + means["p1_design_s"] + means["p2_overhead_s"]
+    total = means["total_s"]
     return {
         "dataset": dataset,
         "level": level,
         "sample_size": budget,
-        "p1_learning_s": round(learning * scale_factor, 4),
-        "p1_design_s": round(design * scale_factor, 4),
-        "p2_overhead_s": round(phase2 * scale_factor, 4),
-        "predicate_s": round(predicate * scale_factor, 4),
-        "total_s": round(total_mean, 4),
-        "overhead_pct": round(100.0 * overhead / total_mean, 3) if total_mean else 0.0,
+        **{phase: round(seconds, 4) for phase, seconds in means.items()},
+        "overhead_pct": round(100.0 * overhead / total, 3) if total else 0.0,
     }
 
 

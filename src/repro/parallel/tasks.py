@@ -84,9 +84,9 @@ class TrialTask:
 class TrialResult:
     """The deterministic content of one trial's :class:`CountEstimate`.
 
-    Heavyweight diagnostics (stratum designs, per-phase timings, sampled
-    index arrays) stay in the worker; only the fields that define the
-    estimate — and therefore its fingerprint — cross the process boundary.
+    Heavyweight diagnostics (stratum designs, sampled index arrays) stay in
+    the worker; only the fields that define the estimate — and therefore its
+    fingerprint — cross the process boundary.
     """
 
     trial_index: int

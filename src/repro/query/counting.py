@@ -16,7 +16,6 @@ seeded estimate are byte-identical whichever backend executes the query.
 from __future__ import annotations
 
 import contextlib
-import time
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -79,7 +78,6 @@ class CountingQuery:
         self._cached_labels: np.ndarray | None = None
         self._backend_siblings: dict[str, "CountingQuery"] = {}
         self._evaluations = 0
-        self._evaluation_seconds = 0.0
 
     @property
     def backend_spec(self) -> str:
@@ -148,11 +146,6 @@ class CountingQuery:
         """Number of predicate evaluations charged so far."""
         return self._evaluations
 
-    @property
-    def evaluation_seconds(self) -> float:
-        """Wall-clock seconds spent inside the predicate so far."""
-        return self._evaluation_seconds
-
     def reset_accounting(self) -> None:
         """Reset the evaluation counters (between experiment trials).
 
@@ -162,7 +155,6 @@ class CountingQuery:
         must never re-trigger the expensive full-table evaluation.
         """
         self._evaluations = 0
-        self._evaluation_seconds = 0.0
 
     @contextlib.contextmanager
     def fresh_accounting(self) -> Iterator["CountingQuery"]:
@@ -230,7 +222,9 @@ class CountingQuery:
         """Evaluate the expensive predicate on the given objects.
 
         Each call is charged to the query's evaluation counter; estimators
-        are compared on this count.
+        are compared on this count.  With observability on, the batch runs
+        inside a trace-only ``oracle.evaluate`` span: the predicate time of
+        Figure 3 is the sum of these spans.
 
         When a fault plan is active (:mod:`repro.resilience`), each batch
         passes through the plan's oracle-batch site first — an injected
@@ -240,26 +234,27 @@ class CountingQuery:
         bytes of an unfaulted one, and accounting charges the batch once.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        started = time.perf_counter()
-        plan = active_plan()
-        if plan is None:
-            labels = self._compute_labels(indices)
-        else:
-            failure: TransientFaultError | None = None
-            for _attempt in range(1 + self.ORACLE_RETRY_LIMIT):
-                try:
-                    plan.oracle_batch()
-                    labels = self._compute_labels(indices)
-                    break
-                except TransientFaultError as exc:
-                    failure = exc
-                    if obs.enabled():
-                        obs.registry().inc(obs.ORACLE_RETRIES)
+        with obs.span("oracle.evaluate"):
+            plan = active_plan()
+            if plan is None:
+                labels = self._compute_labels(indices)
             else:
-                assert failure is not None
-                raise failure
+                failure: TransientFaultError | None = None
+                for _attempt in range(1 + self.ORACLE_RETRY_LIMIT):
+                    try:
+                        plan.oracle_batch()
+                        labels = self._compute_labels(indices)
+                        break
+                    except TransientFaultError as exc:
+                        failure = exc
+                        if obs.enabled():
+                            obs.registry().inc(obs.ORACLE_RETRIES)
+                else:
+                    assert failure is not None
+                    raise failure
         self._evaluations += int(indices.size)
-        self._evaluation_seconds += time.perf_counter() - started
+        # Recorded after the span closes, so the calls are attributed to the
+        # estimator stage that asked for them, not to the oracle span.
         if obs.enabled():
             obs.record_oracle_calls(int(indices.size))
         return labels

@@ -611,13 +611,12 @@ class Session:
         backend: str | None = None,
         **estimator_options: Any,
     ) -> LearnToSampleResult:
-        """One-shot estimate over a caller-supplied query (the legacy facade).
+        """One-shot estimate over a caller-supplied query.
 
-        This is the exact dispatch the deprecated
-        :func:`~repro.core.pipeline.learn_to_sample` performed — same
-        estimator construction, same seed consumption — so the shim's
-        results stay byte-identical to every release that shipped it.
-        Nothing becomes resident: the caller owns the query.
+        Builds the named estimator and spends ``budget`` on it, with the same
+        seed consumption as calling that estimator directly, so the estimate
+        is byte-identical to it.  Nothing becomes resident: the caller owns
+        the query.
         """
         from repro.core.lss import LearnedStratifiedSampling
         from repro.core.lws import LearnedWeightedSampling

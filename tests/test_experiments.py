@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.experiments import (
     TINY_SCALE,
     ExperimentScale,
@@ -74,6 +75,25 @@ class TestFigureDrivers:
         row = rows[0]
         assert row["predicate_s"] > 0
         assert 0 <= row["overhead_pct"] <= 100
+        # The phases are disjoint regions of the trial's span tree; the
+        # slack covers rounding each column to 0.1 ms.
+        phases = ("p1_learning_s", "p1_design_s", "p2_overhead_s", "predicate_s")
+        assert sum(row[phase] for phase in phases) <= row["total_s"] + 3e-4
+
+    @pytest.mark.parametrize("enabled", [False, True], ids=["obs-off", "obs-on"])
+    def test_figure3_restores_obs_state(self, enabled):
+        previous = obs.set_enabled(enabled)
+        try:
+            run_figure3_overhead(
+                MICRO_SCALE,
+                sample_fractions=(0.05,),
+                trials_per_point=1,
+                predicate_cost_seconds=0.0,
+            )
+            assert obs.enabled() is enabled
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
 
     def test_figure4_layout_rows(self):
         rows = run_figure4_strata_layout(MICRO_SCALE)

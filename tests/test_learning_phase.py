@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.learning_phase import default_classifier, run_learning_phase
 from repro.learning.forest import RandomForestClassifier
 from repro.learning.knn import KNeighborsClassifier
+from repro.obs.trace import iter_spans
 
 
 class TestDefaultClassifier:
@@ -57,7 +59,25 @@ class TestRunLearningPhase:
         with pytest.raises(ValueError):
             run_learning_phase(threshold_query, 20, active_learning_fraction=1.0)
 
-    def test_timing_fields_populated(self, threshold_query):
-        result = run_learning_phase(threshold_query, 40, seed=5)
-        assert result.training_seconds >= 0.0
-        assert result.predicate_seconds >= 0.0
+    def test_traced_oracle_batches_nest_in_learning_spans(self, threshold_query):
+        # Figure 3 reads predicate time off the oracle.evaluate spans, so
+        # every learning batch (the initial sample and each active-learning
+        # round) must be one, inside the learning phase's span tree.
+        previous = obs.set_enabled(True)
+        try:
+            with obs.span("root") as root:
+                run_learning_phase(
+                    threshold_query,
+                    60,
+                    active_learning_rounds=2,
+                    active_learning_fraction=0.3,
+                    seed=5,
+                )
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
+        names = [child.name for child in root.children]
+        assert names[:2] == ["learning.label", "learning.train"]
+        assert [span.name for span in root.children[0].children] == ["oracle.evaluate"]
+        batches = [span for span in iter_spans(root) if span.name == "oracle.evaluate"]
+        assert len(batches) == 3

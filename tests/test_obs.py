@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.core.lss import LearnedStratifiedSampling
 from repro.core.scores import LearnedScoresSpec
 from repro.obs.export import (
     group_stage_totals,
@@ -24,6 +25,7 @@ from repro.obs.export import (
     to_json_dict,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import iter_spans
 from repro.parallel import MethodSpec, ParallelTrialRunner, clear_workload_cache
 from repro.service.server import ServerThread, request_json, request_text
 from repro.service.sweep import (
@@ -135,6 +137,28 @@ class TestByteIdentity:
         assert "learning.label" in per_stage
         assert "lss.pilot" in per_stage
         assert "lss.stage2" in per_stage
+
+    def test_oracle_spans_nest_under_each_oracle_stage(self, workload):
+        obs.set_enabled(True)
+        with obs.span("root") as root:
+            LearnedStratifiedSampling().estimate(
+                workload.query, workload.sample_size(0.05), seed=MASTER_SEED
+            )
+        parents = {
+            span.name
+            for span in iter_spans(root)
+            for child in span.children
+            if child.name == "oracle.evaluate"
+        }
+        assert parents == {"learning.label", "lss.pilot", "lss.stage2"}
+        # The counter is recorded after the oracle span closes, so calls stay
+        # attributed to the stage that asked for them.
+        per_stage = {
+            dict(labels).get("stage")
+            for (name, labels), _ in obs.registry().iter_counters()
+            if name == obs.ORACLE_CALLS
+        }
+        assert per_stage == parents
 
 
 class TestDisabledFastPath:

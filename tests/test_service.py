@@ -125,6 +125,17 @@ class TestSessionEstimate:
             expected = _serial_fingerprint(anchor_spec, parse_method_spec("lws"), seed, 40, 2)
             assert results[seed] == expected
 
+    def test_estimate_query_matches_direct_estimator(self, anchor_spec):
+        from repro.core.lss import LearnedStratifiedSampling
+
+        workload = anchor_spec.build()
+        result = Session().estimate_query(workload.query, 50, method="lss", seed=9)
+        direct = LearnedStratifiedSampling(num_strata=4).estimate(
+            anchor_spec.build().query, 50, seed=9
+        )
+        assert estimate_fingerprint(result.estimate) == estimate_fingerprint(direct)
+        assert result.true_count == workload.query.true_count()
+
     def test_unknown_dataset_rejected(self, anchor_spec):
         with Session(anchor_spec) as session:
             with pytest.raises(ValueError):
@@ -229,20 +240,7 @@ class TestSessionResidency:
             assert session.workload_for(workload.spec) is workload
 
 
-class TestDeprecatedShim:
-    def test_learn_to_sample_warns_and_matches_direct_estimator(self, anchor_spec):
-        from repro.core.lss import LearnedStratifiedSampling
-        from repro.core.pipeline import learn_to_sample
-
-        workload = anchor_spec.build()
-        with pytest.warns(DeprecationWarning):
-            shimmed = learn_to_sample(workload.query, 50, method="lss", seed=9)
-        direct = LearnedStratifiedSampling(num_strata=4).estimate(
-            anchor_spec.build().query, 50, seed=9
-        )
-        assert estimate_fingerprint(shimmed.estimate) == estimate_fingerprint(direct)
-        assert shimmed.true_count == workload.query.true_count()
-
+class TestPackageRoot:
     def test_session_factory_exported_from_package_root(self):
         import repro
 
